@@ -35,14 +35,20 @@ def _load_code(input_path, inline):
     try:
         if inline is not None:
             words = json.loads(inline)
+            if not (isinstance(words, list) and all(isinstance(w, list) for w in words)):
+                raise ValueError("expected a JSON list of codewords")
             n = max((max(w, default=0) for w in words), default=0)
-            return NeuralCode(n, frozenset(frozenset(w) for w in words))
-        if input_path is not None:
+            c = NeuralCode(n, frozenset(frozenset(w) for w in words))
+        elif input_path is not None:
             with open(input_path) as fh:
-                return NeuralCode.from_json_dict(json.load(fh))
+                c = NeuralCode.from_json_dict(json.load(fh))
+        else:
+            raise CliError("provide --input or --code", EXIT_BAD_INPUT)
+        if not c.words:
+            raise ValueError("the code has no codewords")
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed code input: {exc}", EXIT_BAD_INPUT)
-    raise CliError("provide --input or --code", EXIT_BAD_INPUT)
+    return c
 
 
 def _emit(report: dict, out):
@@ -106,7 +112,7 @@ def analyze(input_path, inline, max_k, out):
         "codewords": [sorted(w) for w in c.sorted_words()],
         "canonical_form": [pm.to_json_dict() for pm in cf],
         "canonical_form_pretty": [str(pm) for pm in cf],
-        "cf_max_degree": neural_ideal.cf_max_degree(c),
+        "cf_max_degree": max((pm.degree for pm in cf), default=0),
         "intersection_complete": neural_ideal.is_intersection_complete(c),
         "clique_complex": complexes.is_clique_complex(delta),
         "vertex_decomposable_components": vd,
@@ -176,13 +182,23 @@ def detect(input_path, inline, max_k, relabel, out):
 def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out):
     """Reduced Groebner basis of the toric ideal."""
     c = _load_code(input_path, inline)
+    if not any(c.words):
+        raise CliError("malformed code input: no nonempty codeword", EXIT_BAD_INPUT)
+    ring = toric.codeword_ring(c)
+    if order_kind == "lex":
+        order = toric.CodewordLexOrder(ring)
+    elif not weights:
+        order = toric.WeightedGrevlexOrder(ring, toric.two_subset_weights)
+    else:
+        try:
+            w = json.loads(weights)
+            if not (isinstance(w, list) and all(type(x) in (int, float) for x in w)):
+                raise ValueError("expected a JSON list of numbers")
+            order = toric.WeightedGrevlexOrder(ring, w)
+        except ValueError as exc:
+            raise CliError(f"malformed weights: {exc}", EXIT_BAD_INPUT)
     try:
         ideal = toric.toric_ideal(c, max_pairs=max_pairs, max_degree=max_degree)
-        if order_kind == "lex":
-            order = toric.CodewordLexOrder(ideal.ring)
-        else:
-            w = json.loads(weights) if weights else toric.two_subset_weights
-            order = toric.WeightedGrevlexOrder(ideal.ring, w)
         gb = ideal.reduced_groebner_basis(order, max_pairs=max_pairs, max_degree=max_degree)
     except toric.ResourceCapExceeded as exc:
         _emit({"status": "resource_cap", "detail": str(exc)}, out)
@@ -205,11 +221,7 @@ def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out
 def nesting(sub, sup, out):
     """Check toric-ideal containment for nested codes."""
     a = _load_code(None, sub)
-    b_raw = json.loads(sup)
-    n = max(
-        a.n, max((max(w, default=0) for w in b_raw), default=0)
-    )
-    b = NeuralCode(n, frozenset(frozenset(w) for w in b_raw))
+    b = _load_code(None, sup)
     try:
         ok = toric.check_nesting(a, b)
     except ValueError as exc:

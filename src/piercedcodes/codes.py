@@ -76,6 +76,8 @@ class NeuralCode:
         object.__setattr__(self, "words", frozenset(frozenset(w) for w in self.words))
         for w in self.words:
             for i in w:
+                if type(i) is not int:
+                    raise ValueError(f"neuron label {i!r} is not an integer")
                 if not (0 <= i <= self.n):
                     raise ValueError(f"neuron {i} outside 0..{self.n}")
 

@@ -2,9 +2,11 @@
 
 Two independent engines over Fraction arithmetic:
 
-* Fourier-Motzkin elimination, used both for strict-feasibility of open
-  polyhedra (via a max-slack variable) and for extracting interior
-  witness points by back-substitution.
+* Fourier-Motzkin elimination, the runtime engine.  Each max-slack LP
+  runs one elimination (``fm_stages``); the supremum is read from its
+  last stage (``fm_max_last``), which alone decides strict feasibility
+  of an open polyhedron, and an interior witness point is found by
+  back-substitution through the same stages (``fm_witness``).
 * A two-phase simplex method, kept as a cross-check for the same
   max-slack LPs.
 
@@ -21,6 +23,10 @@ F = Fraction
 
 def _norm1(a) -> Fraction:
     return sum(abs(x) for x in a)
+
+
+def _dot(a, x) -> Fraction:
+    return sum(ai * xi for ai, xi in zip(a, x))
 
 
 def solve_linear(rows, rhs):
@@ -101,30 +107,35 @@ def _fm_eliminate(rows, var: int):
     return [(a, b) for a, b in best.items()]
 
 
-def fm_project(rows, keep: int):
-    """Eliminate all variables except the last ``keep`` ones."""
+def fm_stages(rows):
+    """The Fourier-Motzkin elimination stages of rows (a, b): a.z <= b.
+
+    stages[v] holds the rows left once variables 0..v-1 are eliminated,
+    so the last stage involves only the last variable.  None when a
+    stage proves the rows infeasible.
+    """
     nvars = len(rows[0][0]) if rows else 0
-    cur = rows
-    for var in range(nvars - keep):
-        cur = _fm_eliminate(cur, var)
+    stages = [rows]
+    for var in range(nvars - 1):
+        cur = _fm_eliminate(stages[-1], var)
         if cur is None:
             return None
-    return cur
+        stages.append(cur)
+    return stages
 
 
-def fm_max_last(rows) -> Optional[Fraction]:
-    """Supremum of the last variable subject to rows; None if infeasible.
+def fm_max_last(stages) -> Optional[Fraction]:
+    """Supremum of the last variable, read from the last stage of
+    ``fm_stages``; None if infeasible (``stages`` is None or the bounds
+    cross).
 
     Raises if unbounded (callers always bound the region).
     """
-    proj = fm_project(rows, 1)
-    if proj is None:
+    if stages is None:
         return None
-    last = len(rows[0][0]) - 1
-    upper = []
-    lower = []
-    for a, b in proj:
-        c = a[last]
+    upper, lower = [], []
+    for a, b in stages[-1]:
+        c = a[-1]
         if c > 0:
             upper.append(b / c)
         elif c < 0:
@@ -139,21 +150,14 @@ def fm_max_last(rows) -> Optional[Fraction]:
     return sup
 
 
-def fm_witness(rows, fixed_last: Fraction):
+def fm_witness(stages, fixed_last: Fraction):
     """A point with the last variable pinned, strictly inside where possible.
 
-    Back-substitutes through the elimination, choosing interval
-    midpoints.  Assumes rows are feasible with the last variable at
-    ``fixed_last``.
+    Back-substitutes through the elimination ``stages``, choosing
+    interval midpoints.  Assumes the rows are feasible with the last
+    variable at ``fixed_last``.
     """
-    nvars = len(rows[0][0])
-    stages = [rows]
-    cur = rows
-    for var in range(nvars - 1):
-        cur = _fm_eliminate(cur, var)
-        if cur is None:
-            raise ValueError("infeasible system in witness extraction")
-        stages.append(cur)
+    nvars = len(stages)  # one stage per variable
     values = [None] * nvars
     values[nvars - 1] = F(fixed_last)
     for var in range(nvars - 2, -1, -1):
@@ -187,68 +191,65 @@ def fm_witness(rows, fixed_last: Fraction):
 # max-min-slack interface
 
 
+def _normalized(strict_rows):
+    """Rows (a, b) scaled by 1/|a|_1, so a.x - b is minus the normalized slack."""
+    out = []
+    for a, b in strict_rows:
+        a, b = tuple(map(F, a)), F(b)
+        scale = _norm1(a)
+        out.append((tuple(x / scale for x in a), b / scale))
+    return out
+
+
+def _slack_lp(rows):
+    """Maximize t subject to a.x + t <= b over normalized rows.
+
+    Returns (stages, supremum); the supremum is None unless it is
+    positive, i.e. unless the open region a.x < b is nonempty.
+    """
+    stages = fm_stages([(a + (F(1),), b) for a, b in rows])
+    sup = fm_max_last(stages)
+    return stages, (sup if sup is not None and sup > 0 else None)
+
+
 def max_slack(strict_rows, eq_rows=()):
     """Maximize the minimum normalized slack of strict constraints.
 
     strict_rows: (a, b) meaning a . x < b desired; slack of x is
     (b - a.x) / |a|_1.  eq_rows: (a, b) meaning a . x = b, satisfied
-    exactly by restricting to the affine solution space.
+    exactly by restricting to the affine solution space x0 + span(null).
 
     Returns (margin, point) with margin the exact optimum (None if the
     open region is empty, i.e. optimum <= 0 or infeasible).
     """
-    strict_rows = [(tuple(map(F, a)), F(b)) for a, b in strict_rows]
+    rows = _normalized(strict_rows)
+    x0, null = (), None
     if eq_rows:
         sol = solve_linear([a for a, _ in eq_rows], [b for _, b in eq_rows])
         if sol is None:
             return None, None
         x0, null = sol
-        reduced = []
-        for a, b in strict_rows:
-            scale = _norm1(a)
-            a_u = tuple(
-                sum(ai * vi for ai, vi in zip(a, v)) / scale for v in null
-            )
-            b_u = (b - sum(ai * xi for ai, xi in zip(a, x0))) / scale
-            reduced.append((a_u, b_u))
-        got = _max_slack_free(reduced)
-        if got is None:
-            return None, None
-        t, u = got
-        point = tuple(
-            xi + sum(v[k] * u[k] for k in range(len(u)))
-            for xi, v in zip(x0, zip(*null) if null else [() for _ in x0])
-        )
-        if not null:
-            point = x0
-        return t, point
-    reduced = []
-    for a, b in strict_rows:
-        scale = _norm1(a)
-        reduced.append((tuple(x / scale for x in a), b / scale))
-    got = _max_slack_free(reduced)
-    if got is None:
-        return None, None
-    return got
-
-
-def _max_slack_free(rows):
-    """rows are normalized (a, b); maximize t s.t. a.x + t <= b."""
+        rows = [
+            (tuple(_dot(a, v) for v in null), b - _dot(a, x0)) for a, b in rows
+        ]
     if not rows:
-        return F(0), ()
-    nvars = len(rows[0][0])
-    lp = [(tuple(a) + (F(1),), b) for a, b in rows]
-    sup = fm_max_last(lp)
-    if sup is None or sup <= 0:
-        return None
-    target = sup / 2 if sup > 0 else sup
-    point = fm_witness(lp, target)
-    return sup, point[:nvars]
+        return F(0), x0
+    stages, sup = _slack_lp(rows)
+    if sup is None:
+        return None, None
+    u = fm_witness(stages, sup / 2)[:-1]
+    if null is None:
+        return sup, u
+    return sup, tuple(
+        xi + sum(uk * v[i] for uk, v in zip(u, null)) for i, xi in enumerate(x0)
+    )
 
 
 def strictly_feasible(strict_rows) -> bool:
-    margin, _ = max_slack(strict_rows)
-    return margin is not None and margin > 0
+    """Whether some x has a.x < b on every row; decided from the max-slack
+    supremum alone, without a witness."""
+    rows = _normalized(strict_rows)
+    return bool(rows) and _slack_lp(rows)[1] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +368,12 @@ def simplex_max(c, rows, rhs):
 
 def simplex_max_slack(strict_rows):
     """Simplex counterpart of max_slack (no equality support needed)."""
-    strict_rows = [(tuple(map(F, a)), F(b)) for a, b in strict_rows]
-    if not strict_rows:
+    rows = _normalized(strict_rows)
+    if not rows:
         return F(0), ()
-    nvars = len(strict_rows[0][0])
-    rows, rhs = [], []
-    for a, b in strict_rows:
-        scale = _norm1(a)
-        rows.append(tuple(x / scale for x in a) + (F(1),))
-        rhs.append(b / scale)
+    nvars = len(rows[0][0])
     c = (F(0),) * nvars + (F(1),)
-    val, z = simplex_max(c, rows, rhs)
+    val, z = simplex_max(c, [a + (F(1),) for a, _ in rows], [b for _, b in rows])
     if val is None or val <= 0:
         return None, None
     return val, z[:nvars]

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .codes import NeuralCode
-from .exactlp import _norm1, max_slack, solve_linear, strictly_feasible
+from .exactlp import _dot, _norm1, max_slack, solve_linear, strictly_feasible
 from .piercing import BASE_CODE, PiercingSequence, pierce
 
 F = Fraction
@@ -67,12 +68,14 @@ class HyperplaneRealization:
     witnesses: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
-    def bound_rows(self):
-        """Strict rows (a, b), a.x < b, describing the open bounding simplex."""
+    @cached_property
+    def bound_rows(self) -> list:
+        """Strict rows (a, b), a.x < b, describing the open bounding simplex;
+        solved once per realization."""
         return bound_inequalities(self.bound_vertices)
 
     def sign_rows(self, codeword: frozenset):
-        rows = list(self.bound_rows())
+        rows = list(self.bound_rows)
         for i, hs in enumerate(self.halfspaces, 1):
             rows.append(hs.on_row() if i in codeword else hs.off_row())
         return rows
@@ -133,12 +136,6 @@ def _direction_candidates(dim: int):
     yield tuple(F((-1) ** i, 2**i) for i in range(dim))
 
 
-def _strictly_inside_simplex(p, vertices) -> bool:
-    return all(
-        sum(a * x for a, x in zip(row, p)) < b for row, b in bound_inequalities(vertices)
-    )
-
-
 def _largest_power_scale(bound_value: Fraction) -> Fraction:
     """Largest a = 1/2^t with a <= bound_value (t >= 1 for a proper cut)."""
     a = F(1, 2)
@@ -163,7 +160,8 @@ def build_hyperplane_realization(
     for step in seq:
         step.validate_for(code.n)
         eqs = []
-        strict = list(bound_inequalities(vertices))
+        facets = bound_inequalities(vertices)
+        strict = list(facets)
         for i in sorted(step.lam):
             hs = halfspaces[i - 1]
             eqs.append((hs.normal, hs.offset))
@@ -185,7 +183,7 @@ def build_hyperplane_realization(
         a_scale = _largest_power_scale(rho / (2 * spread))
         a_scale /= 2**extra_scale_halvings
 
-        p_prime = _perturb(p, vertices, halfspaces, a_scale, rho)
+        p_prime = _perturb(p, facets, halfspaces, a_scale, rho)
 
         dim = len(p) + 1
         new_vertices = [v + (F(0),) for v in vertices]
@@ -215,9 +213,14 @@ def build_hyperplane_realization(
     return realization
 
 
-def _perturb(p, vertices, halfspaces, a_scale, rho):
+def _perturb(p, facets, halfspaces, a_scale, rho):
     """Choose p' near p, off every hyperplane, with p interior to the
-    simplex dilated by a_scale about p'."""
+    simplex dilated by a_scale about p'.
+
+    ``facets`` are the simplex's rows a.x < b.  The dilation about c
+    moves each to a.x < a_scale*b + (1 - a_scale)*a.c, so no facet of the
+    dilated simplex is solved for.
+    """
     delta0 = rho / 4
     for halvings in range(64):
         delta = delta0 / 2**halvings
@@ -227,11 +230,10 @@ def _perturb(p, vertices, halfspaces, a_scale, rho):
             cand = tuple(px + delta * vx for px, vx in zip(p, vv))
             if any(hs.value(cand) == 0 for hs in halfspaces):
                 continue
-            scaled = [
-                tuple(cx + a_scale * (vx - cx) for cx, vx in zip(cand, vert))
-                for vert in vertices
-            ]
-            if _strictly_inside_simplex(p, scaled):
+            if all(
+                _dot(a, p) < a_scale * b + (1 - a_scale) * _dot(a, cand)
+                for a, b in facets
+            ):
                 return cand
     raise RuntimeError("could not find an off-hyperplane perturbation")
 

@@ -93,25 +93,11 @@ def cf_max_degree(code: NeuralCode) -> int:
     return max((pm.degree for pm in cf), default=0)
 
 
-class InconsistentChecks(Exception):
-    """The direct intersection check and the canonical-form criterion disagree."""
-
-
 def is_intersection_complete(code: NeuralCode) -> bool:
     """True iff the code contains all intersections of its codewords.
 
-    Computes both the direct pairwise-closure check and the canonical
-    form criterion (no element with more than one off-neuron, type 1
-    aside); a mismatch signals an implementation bug and raises.  For
-    codes containing the empty codeword no off-only elements exist, so
-    the criterion degenerates to the Type 2 condition.
+    The direct pairwise check; the tests hold it against the
+    canonical-form criterion (no element with more than one off-neuron,
+    type 1 aside).
     """
-    direct = all(a & b in code for a, b in itertools.combinations(code.words, 2))
-    via_cf = all(
-        len(pm.off) <= 1 for pm in canonical_form(code) if pm.type != 1
-    )
-    if direct != via_cf:
-        raise InconsistentChecks(
-            f"direct={direct} cf_criterion={via_cf} on {code}"
-        )
-    return direct
+    return all(a & b in code for a, b in itertools.combinations(code.words, 2))

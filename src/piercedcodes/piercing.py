@@ -123,14 +123,16 @@ def replay(seq: PiercingSequence, base: NeuralCode = BASE_CODE) -> NeuralCode:
     return c
 
 
-def _recover_last_step(code: NeuralCode, j: int, max_k: int):
+def _recover_last_step(words: frozenset, neurons: frozenset, j: int, max_k: int):
     """Try to undo a piercing whose new neuron is j; return (step, rest) or None.
 
-    The step is forced: with S = {c \\ {j} : j in c in C}, sigma is the
-    common intersection, lambda the rest of the union, tau everything
-    else.  Acceptance requires S to be exactly the sigma-union-nu family.
+    ``words`` is a code on the labels ``neurons``, which contain j; the
+    step is written in the same labels.  The step is forced: with
+    S = {c \\ {j} : j in c in C}, sigma is the common intersection, lambda
+    the rest of the union, tau everything else.  Acceptance requires S to
+    be exactly the sigma-union-nu family.
     """
-    with_j = [w for w in code.words if j in w]
+    with_j = [w for w in words if j in w]
     if not with_j:
         return None
     s_family = {w - {j} for w in with_j}
@@ -138,23 +140,15 @@ def _recover_last_step(code: NeuralCode, j: int, max_k: int):
     lam = frozenset.union(*s_family) - sigma
     if len(lam) > max_k:
         return None
-    others = frozenset(i for i in code.neurons if i != j)
+    others = neurons - {j}
     tau = others - lam - sigma
     if not (lam | sigma | tau == others and lam.isdisjoint(sigma)):
         return None
     if s_family != {sigma | nu for nu in _subsets(lam)}:
         return None
-    rest_words = code.words - frozenset(with_j)
+    rest_words = words - frozenset(with_j)
     step = PiercingStep(lam, sigma, tau)
     return step, rest_words
-
-
-def _relabel_words(words, j: int, n: int):
-    """Drop neuron j from the label set, shifting higher labels down."""
-    def sub(i):
-        return i - 1 if i > j else i
-
-    return frozenset(frozenset(sub(i) for i in w) for w in words)
 
 
 def recover_piercing_sequence(
@@ -171,39 +165,35 @@ def recover_piercing_sequence(
         raise ValueError("code must be nonempty")
 
     def rec(words: frozenset, labels: tuple):
-        n = len(labels)
-        if n == 1:
-            if words == BASE_CODE.words:
-                return (), (labels[0],)
+        # words and steps keep the code's own labels; labels ascend
+        if len(labels) == 1:
+            if words == {frozenset(), frozenset(labels)}:
+                return (), labels
             return None
-        current = NeuralCode(n, words)
-        candidates = [n] if not relabel else list(range(n, 0, -1))
-        for j in candidates:
-            got = _recover_last_step(current, j, max_k)
+        neurons = frozenset(labels)
+        for j in reversed(labels) if relabel else labels[-1:]:
+            got = _recover_last_step(words, neurons, j, max_k)
             if got is None:
                 continue
             step, rest = got
-            if j != n:
-                rest = _relabel_words(rest, j, n)
-                remap = {i: (i - 1 if i > j else i) for i in range(1, n + 1)}
-                step = PiercingStep(
-                    frozenset(remap[i] for i in step.lam),
-                    frozenset(remap[i] for i in step.sigma),
-                    frozenset(remap[i] for i in step.tau),
-                )
-            sub_labels = tuple(l for idx, l in enumerate(labels, 1) if idx != j)
-            deeper = rec(rest, sub_labels)
+            deeper = rec(rest, tuple(l for l in labels if l != j))
             if deeper is not None:
                 steps, order = deeper
-                return steps + (step,), order + (labels[j - 1],)
+                return steps + (step,), order + (j,)
         return None
 
-    got = rec(code.words, tuple(range(1, code.n + 1)))
+    got = rec(code.words, tuple(code.neurons))
     if got is None:
         return None
     steps, order = got
-    identity = tuple(range(1, code.n + 1))
-    relabeling = None if order == identity else order
+    # order[i] is the label added at construction position i + 1
+    position = {label: i for i, label in enumerate(order, 1)}
+
+    def moved(block):
+        return frozenset(position[l] for l in block)
+
+    steps = tuple(PiercingStep(moved(s.lam), moved(s.sigma), moved(s.tau)) for s in steps)
+    relabeling = None if order == tuple(code.neurons) else order
     return PiercingSequence(steps, relabeling)
 
 

@@ -48,6 +48,21 @@ def test_malformed_input_exit_1(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["detect", "--code", "[[1.5]]"],
+    ["detect", "--code", "[]"],
+    ["analyze", "--code", '{"a":1}'],
+    ["toric-gb", "--code", TWO, "--order", "wgrevlex", "--weights", "[1]"],
+    ["toric-gb", "--code", TWO, "--order", "wgrevlex", "--weights", "notjson"],
+    ["toric-gb", "--code", "[[]]"],
+])
+def test_malformed_input_one_line_error(runner, args):
+    res = run(runner, *args)
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
+
+
 def test_pierce_command(runner):
     res = run(runner, "pierce", "--code", TWO, "--lam", "[2]", "--sigma", "[1]")
     assert res.exit_code == 0

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 from piercedcodes.exactlp import (
     fm_max_last,
-    fm_project,
+    fm_stages,
+    fm_witness,
     max_slack,
     simplex_max,
     simplex_max_slack,
@@ -31,12 +32,18 @@ def test_fm_feasibility():
 
 def test_fm_max_last():
     rows = [((1, 1), 4), ((-1, 0), 0), ((0, -1), 0), ((1, -1), 1)]
-    assert fm_max_last(rows) == F(4)
-    assert fm_max_last([((1,), 1), ((-1,), -2)]) is None
+    stages = fm_stages(rows)
+    assert len(stages) == 2
+    assert fm_max_last(stages) == F(4)
+    # back-substitution through the same stages reaches the supremum
+    x, y = fm_witness(stages, F(4))
+    assert y == 4 and all(sum(p * q for p, q in zip(a, (x, y))) <= b for a, b in rows)
+    assert fm_max_last(fm_stages([((1,), 1), ((-1,), -2)])) is None
 
 
 def test_fm_project_infeasible():
-    assert fm_project([((1, 1), 0), ((-1, -1), -1)], 1) is None
+    assert fm_stages([((1, 1), 0), ((-1, -1), -1)]) is None
+    assert fm_max_last(None) is None
 
 
 def test_max_slack_square():

@@ -108,16 +108,22 @@ def _ic_oracle(c):
     return all(a & b in c for a, b in itertools.combinations(c.words, 2))
 
 
+def _cf_criterion(c):
+    """Intersection completeness read off the canonical form: no element
+    other than a monomial has more than one off-neuron."""
+    return all(len(p.off) <= 1 for p in canonical_form(c) if p.type != 1)
+
+
 def test_intersection_complete_random_codes():
     rng = random.Random(5)
     words = [frozenset(w) for r in range(5) for w in itertools.combinations(range(1, 5), r)]
     for _ in range(80):
         chosen = rng.sample(words, rng.randint(1, 10))
         c = NeuralCode(4, frozenset(chosen))
-        assert is_intersection_complete(c) == _ic_oracle(c)
+        assert is_intersection_complete(c) == _ic_oracle(c) == _cf_criterion(c)
 
 
 def test_pierced_codes_have_quadratic_cf(pierced_n4_k3):
     for c, _ in pierced_n4_k3:
         assert cf_max_degree(c) <= 2, str(c)
-        assert is_intersection_complete(c), str(c)
+        assert is_intersection_complete(c) and _cf_criterion(c), str(c)

@@ -1,8 +1,10 @@
 """Piercing, sequence recovery, and enumeration."""
 
+import random
+
 import pytest
 
-from piercedcodes.codes import code, word
+from piercedcodes.codes import NeuralCode, code, word
 from piercedcodes.piercing import (
     BASE_CODE,
     PiercingSequence,
@@ -102,6 +104,45 @@ def test_recover_with_relabeling():
         *[[seq.relabeling[i - 1] for i in w] for w in rebuilt.words],
     )
     assert relabeled.words == scrambled.words
+
+
+def _relabeled_replay(seq):
+    """The code a sequence rebuilds, in the labels of the code it came from."""
+    order = seq.relabeling or tuple(range(1, len(seq) + 2))
+    return frozenset(frozenset(order[i - 1] for i in w) for w in replay(seq).words)
+
+
+def test_relabel_steps_replay():
+    c = code(4, [], [1, 2], [1, 2, 3], [2], [2, 4])
+    seq = recover_piercing_sequence(c, 3, relabel=True)
+    assert seq is not None and seq.relabeling is not None
+    assert _relabeled_replay(seq) == c.words
+
+
+def _random_step(c, rng, max_k):
+    while True:
+        blocks = ([], [], [])
+        for i in c.neurons:
+            blocks[rng.randrange(3)].append(i)
+        s = step(*blocks)
+        if len(s.lam) <= max_k and is_pierceable(c, s):
+            return s
+
+
+def test_relabel_replays_on_seeded_relabellings():
+    rng = random.Random(41)
+    fives = [c for c, _ in enumerate_pierced_codes(5, 2) if c.n == 5]
+    codes = rng.sample(fives, 12)
+    codes += [pierce(c, _random_step(c, rng, 2)) for c in rng.sample(fives, 12)]
+    for c in codes:
+        perm = list(c.neurons)
+        rng.shuffle(perm)
+        scrambled = NeuralCode(
+            c.n, frozenset(frozenset(perm[i - 1] for i in w) for w in c.words)
+        )
+        seq = recover_piercing_sequence(scrambled, 2, relabel=True)
+        assert seq is not None, str(scrambled)
+        assert _relabeled_replay(seq) == scrambled.words, str(scrambled)
 
 
 def test_sequence_json_roundtrip():
