@@ -86,7 +86,25 @@ def with_code_opts(f):
     return f
 
 
-@click.group()
+def _usage_error_exits_1(method):
+    def wrapped(*args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_BAD_INPUT
+            raise
+
+    return wrapped
+
+
+class _Main(click.Group):
+    """Usage errors are malformed input (exit 1); click's 2 means "property false" here."""
+
+    make_context = _usage_error_exits_1(click.Group.make_context)
+    invoke = _usage_error_exits_1(click.Group.invoke)
+
+
+@click.group(cls=_Main)
 def main():
     """Construct and certify inductively pierced neural codes."""
 
@@ -184,19 +202,13 @@ def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out
     c = _load_code(input_path, inline)
     if not any(c.words):
         raise CliError("malformed code input: no nonempty codeword", EXIT_BAD_INPUT)
-    ring = toric.codeword_ring(c)
-    if order_kind == "lex":
-        order = toric.CodewordLexOrder(ring)
-    elif not weights:
-        order = toric.WeightedGrevlexOrder(ring, toric.two_subset_weights)
-    else:
-        try:
-            w = json.loads(weights)
-            if not (isinstance(w, list) and all(type(x) in (int, float) for x in w)):
-                raise ValueError("expected a JSON list of numbers")
-            order = toric.WeightedGrevlexOrder(ring, w)
-        except ValueError as exc:
-            raise CliError(f"malformed weights: {exc}", EXIT_BAD_INPUT)
+    try:
+        w = json.loads(weights) if weights else None
+        if w is not None and not (isinstance(w, list) and all(type(x) in (int, float) for x in w)):
+            raise ValueError("expected a JSON list of numbers")
+        order = toric.order_for(toric.codeword_ring(c), order_kind, w)
+    except ValueError as exc:
+        raise CliError(f"malformed weights: {exc}", EXIT_BAD_INPUT)
     try:
         ideal = toric.toric_ideal(c, max_pairs=max_pairs, max_degree=max_degree)
         gb = ideal.reduced_groebner_basis(order, max_pairs=max_pairs, max_degree=max_degree)
@@ -235,7 +247,7 @@ def nesting(sub, sup, out):
 @with_code_opts
 @click.option("--mode", type=click.Choice(["hyperplane", "ball"]), required=True)
 @click.option("--max-k", default=3, show_default=True)
-@click.option("--samples", default=1_000_000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=1_000_000, show_default=True)
 @click.option("--seed", default=7, show_default=True)
 @click.option("--svg", "svg_path", default=None,
               help="write an SVG picture (2-D hyperplane arrangements only)")

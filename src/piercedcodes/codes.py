@@ -58,15 +58,12 @@ def word_str(c: Codeword) -> str:
 class NeuralCode:
     """A finite set of codewords on neurons 1..n.
 
-    ``labeled_by_construction`` asserts that neuron i was added at step
-    i of an inductive piercing construction; enumeration sets it, codes
-    read from user input do not.  Codes produced by homogenization
-    additionally carry the dummy neuron 0 in every codeword.
+    Codes produced by homogenization additionally carry the dummy neuron
+    0 in every codeword.
     """
 
     n: int
     words: frozenset = field(default_factory=frozenset)
-    labeled_by_construction: bool = False
 
     def __post_init__(self):
         if self.n < 0:
@@ -119,9 +116,9 @@ class NeuralCode:
         return "{" + ",".join(word_str(w) for w in self.sorted_words()) + "}"
 
 
-def code(n: int, *words_: Iterable[int], labeled: bool = False) -> NeuralCode:
+def code(n: int, *words_: Iterable[int]) -> NeuralCode:
     """Convenience constructor: code(2, [], [1], [1, 2])."""
-    return NeuralCode(n, frozenset(frozenset(w) for w in words_), labeled)
+    return NeuralCode(n, frozenset(frozenset(w) for w in words_))
 
 
 def code_from_strs(n: int, words_: Iterable[str]) -> NeuralCode:

@@ -100,7 +100,7 @@ class PiercingSequence:
         return cls(steps, relab)
 
 
-BASE_CODE = NeuralCode(1, frozenset({frozenset(), frozenset({1})}), True)
+BASE_CODE = NeuralCode(1, frozenset({frozenset(), frozenset({1})}))
 
 
 def is_pierceable(code: NeuralCode, step: PiercingStep) -> bool:
@@ -113,7 +113,7 @@ def pierce(code: NeuralCode, step: PiercingStep) -> NeuralCode:
         raise ValueError(f"code {code} is not ({sorted(step.lam)},{sorted(step.sigma)},{sorted(step.tau)}) pierceable")
     new = code.n + 1
     added = frozenset(step.sigma | nu | {new} for nu in _subsets(step.lam))
-    return NeuralCode(new, code.words | added, code.labeled_by_construction)
+    return NeuralCode(new, code.words | added)
 
 
 def replay(seq: PiercingSequence, base: NeuralCode = BASE_CODE) -> NeuralCode:
@@ -163,12 +163,18 @@ def recover_piercing_sequence(
     """
     if len(code.words) == 0:
         raise ValueError("code must be nonempty")
+    # words are the code's words that avoid every label already removed,
+    # so a label set that failed once fails again: the search visits at
+    # most 2^n label sets instead of n! orders
+    failed = set()
 
     def rec(words: frozenset, labels: tuple):
         # words and steps keep the code's own labels; labels ascend
         if len(labels) == 1:
             if words == {frozenset(), frozenset(labels)}:
                 return (), labels
+            return None
+        if labels in failed:
             return None
         neurons = frozenset(labels)
         for j in reversed(labels) if relabel else labels[-1:]:
@@ -180,6 +186,7 @@ def recover_piercing_sequence(
             if deeper is not None:
                 steps, order = deeper
                 return steps + (step,), order + (j,)
+        failed.add(labels)
         return None
 
     got = rec(code.words, tuple(code.neurons))

@@ -16,8 +16,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from functools import partial
+from operator import mul
+from typing import Iterable, Optional
 
 from .codes import NeuralCode, word_key
 from .piercing import enumerate_pierced_codes
@@ -50,9 +53,6 @@ class PolyRing:
             self, "_index", {v: i for i, v in enumerate(self.variables)}
         )
 
-    def index(self, v) -> int:
-        return self._index[v]
-
     def monomial(self, powers: dict) -> tuple:
         exps = [0] * len(self.variables)
         for v, e in powers.items():
@@ -78,111 +78,91 @@ def codeword_ring(code: NeuralCode) -> PolyRing:
     return PolyRing(tuple(yvar(c) for c in nonempty))
 
 
-def neuron_indices(code: NeuralCode):
-    present = sorted({i for c in code.words for i in c})
-    return present
-
-
 def elimination_ring(code: NeuralCode) -> PolyRing:
-    xs = tuple(xvar(i) for i in neuron_indices(code))
-    ys = codeword_ring(code).variables
-    return PolyRing(xs + ys)
+    xs = tuple(xvar(i) for i in sorted({i for c in code.words for i in c}))
+    return PolyRing(xs + codeword_ring(code).variables)
 
 
 # ---------------------------------------------------------------------------
 # monomial orders
 
 
+@dataclass(frozen=True)
 class MonomialOrder:
-    """Base: a total order on exponent tuples of one ring.
+    """A total order on the exponent tuples of one ring.
 
-    ``sort_key`` maps a monomial to a tuple that compares consistently
-    with the order; larger key means larger monomial.
+    Monomials compare first by each weight row, then by their exponents
+    taken in ``significance`` order, most significant first; ``reverse``
+    negates those exponents, giving reverse lex.  Orders are equal when
+    their fields are, which keys the Groebner basis cache.
     """
 
     ring: PolyRing
-    key: tuple  # hashable identity, used for GB caching
+    significance: tuple
+    weights: tuple = ()
+    reverse: bool = False
 
     def sort_key(self, m: tuple) -> tuple:
-        raise NotImplementedError
+        """A tuple that compares like the order; larger key, larger monomial."""
+        if self.reverse:
+            lex = [-m[i] for i in self.significance]
+        else:
+            lex = [m[i] for i in self.significance]
+        if self.weights:
+            return tuple([sum(map(mul, row, m)) for row in self.weights] + lex)
+        return tuple(lex)
 
     def greater(self, a: tuple, b: tuple) -> bool:
         return self.sort_key(a) > self.sort_key(b)
 
 
-class CodewordLexOrder(MonomialOrder):
+def _ranked(ring: PolyRing, indices, rank, ascending: bool = True) -> tuple:
+    """``indices`` with the variable of largest ``rank`` first (last if not ascending)."""
+    return tuple(sorted(indices, key=lambda i: rank(ring.variables[i]), reverse=ascending))
+
+
+def _codeword_rank(v) -> tuple:
+    if v[0] != "y":
+        raise ValueError("codeword lex order is defined on codeword variables only")
+    return word_key(frozenset(v[1]))
+
+
+def CodewordLexOrder(ring: PolyRing) -> MonomialOrder:
     """Lex on codeword variables, induced by the codeword order.
 
     The variable of the codeword-order-largest codeword is most
     significant; this orientation makes y_12 smaller than y_1*y_2,
     since {1,2} precedes {2}.
     """
-
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        ranked = sorted(
-            range(len(ring.variables)),
-            key=lambda i: self._var_rank(ring.variables[i]),
-            reverse=True,
-        )
-        self._significance = tuple(ranked)
-        self.key = ("lex_codeword",)
-
-    @staticmethod
-    def _var_rank(v):
-        if v[0] == "y":
-            return word_key(frozenset(v[1]))
-        raise ValueError("codeword lex order is defined on codeword variables only")
-
-    def sort_key(self, m: tuple) -> tuple:
-        return tuple(m[i] for i in self._significance)
+    return MonomialOrder(ring, _ranked(ring, range(len(ring.variables)), _codeword_rank))
 
 
-class ListedLexOrder(MonomialOrder):
+def ListedLexOrder(ring: PolyRing, listing: Iterable, ascending: bool = True) -> MonomialOrder:
     """Lex induced by an explicit codeword listing.
 
     ``ascending=True`` ranks the last-listed codeword's variable most
     significant (the orientation consistent with the codeword-order
     lex); ``ascending=False`` flips it.
     """
-
-    def __init__(self, ring: PolyRing, listing: Iterable, ascending: bool = True):
-        self.ring = ring
-        pos = {yvar(c): i for i, c in enumerate(listing)}
-        ranked = sorted(
-            range(len(ring.variables)),
-            key=lambda i: pos[ring.variables[i]],
-            reverse=ascending,
-        )
-        self._significance = tuple(ranked)
-        self.key = ("listed_lex", tuple(sorted(pos.items())), ascending)
-
-    def sort_key(self, m: tuple) -> tuple:
-        return tuple(m[i] for i in self._significance)
+    pos = {yvar(c): i for i, c in enumerate(listing)}
+    return MonomialOrder(ring, _ranked(ring, range(len(ring.variables)), pos.__getitem__, ascending))
 
 
-class WeightedGrevlexOrder(MonomialOrder):
+def WeightedGrevlexOrder(ring: PolyRing, weights) -> MonomialOrder:
     """Weight vector first, then total degree, then reverse lex.
 
-    Variables are ranked canonically by (weight ascending? no:) the
-    ring's variable listing; reverse lex compares the last differing
-    exponent, smaller exponent winning.
+    ``weights`` is a per-variable vector or a callable on variables.
+    Reverse lex compares the last differing exponent in the ring's
+    variable listing, the smaller exponent winning.
     """
-
-    def __init__(self, ring: PolyRing, weights):
-        self.ring = ring
-        if callable(weights):
-            w = tuple(weights(v) for v in ring.variables)
-        else:
-            w = tuple(weights)
-            if len(w) != len(ring.variables):
-                raise ValueError("weight vector length mismatch")
-        self.weights = w
-        self.key = ("wgrevlex", w)
-
-    def sort_key(self, m: tuple) -> tuple:
-        wdeg = sum(wi * e for wi, e in zip(self.weights, m))
-        return (wdeg, sum(m), tuple(-e for e in reversed(m)))
+    n = len(ring.variables)
+    if callable(weights):
+        w = tuple(weights(v) for v in ring.variables)
+    else:
+        w = tuple(weights)
+        if len(w) != n:
+            raise ValueError("weight vector length mismatch")
+    return MonomialOrder(ring, tuple(reversed(range(n))), (w, (1,) * n), reverse=True)
 
 
 def two_subset_weights(v) -> int:
@@ -190,30 +170,31 @@ def two_subset_weights(v) -> int:
     return 1 if v[0] == "y" and len(v[1]) == 2 else 0
 
 
-class EliminationOrder(MonomialOrder):
+def EliminationOrder(ring: PolyRing) -> MonomialOrder:
     """Block order eliminating the x-variables.
 
-    x-parts compare by degree-then-lex; ties fall through to the inner
-    order on the y-part.  Any monomial containing an x-variable beats
+    x-parts compare by degree-then-lex; ties fall through to codeword
+    lex on the y-part.  Any monomial containing an x-variable beats
     every x-free monomial, which is the elimination property.
     """
+    x_idx = tuple(i for i, v in enumerate(ring.variables) if v[0] == "x")
+    y_idx = [i for i, v in enumerate(ring.variables) if v[0] == "y"]
+    x_row = tuple(int(v[0] == "x") for v in ring.variables)
+    return MonomialOrder(ring, x_idx + _ranked(ring, y_idx, _codeword_rank), (x_row,))
 
-    def __init__(self, ring: PolyRing, inner_factory: Callable[[PolyRing], MonomialOrder]):
-        self.ring = ring
-        self._x_idx = tuple(
-            i for i, v in enumerate(ring.variables) if v[0] == "x"
-        )
-        y_vars = tuple(v for v in ring.variables if v[0] == "y")
-        self._y_idx = tuple(
-            i for i, v in enumerate(ring.variables) if v[0] == "y"
-        )
-        self._inner = inner_factory(PolyRing(y_vars))
-        self.key = ("elim", self._inner.key)
 
-    def sort_key(self, m: tuple) -> tuple:
-        xpart = tuple(m[i] for i in self._x_idx)
-        ypart = tuple(m[i] for i in self._y_idx)
-        return (sum(xpart), xpart, self._inner.sort_key(ypart))
+def order_for(ring: PolyRing, kind: str, weights=None) -> MonomialOrder:
+    """The order named by ``kind``: "lex" (codeword lex) or "wgrevlex".
+
+    wgrevlex uses ``weights`` (a per-variable vector or a callable on
+    variables; ``two_subset_weights`` by default), and raises ValueError
+    on a vector of the wrong length.  Lex takes no weights.
+    """
+    if kind == "lex":
+        return CodewordLexOrder(ring)
+    if kind == "wgrevlex":
+        return WeightedGrevlexOrder(ring, two_subset_weights if weights is None else weights)
+    raise ValueError(f"unknown order kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +322,8 @@ def _inter_reduce(basis: list, order: MonomialOrder) -> list:
     # tail-reduce against the final lead set
     reduced = []
     for g in kept:
-        others = [h for h in kept if h is not g]
-        trail = _reduce_monomial(g.trail, kept)
-        lead = g.lead
         # the lead is reducible only by itself within a minimal basis
-        b = oriented(lead, trail, order)
+        b = oriented(g.lead, _reduce_monomial(g.trail, kept), order)
         if b is not None:
             reduced.append(b)
     reduced.sort(key=lambda g: order.sort_key(g.lead))
@@ -387,7 +365,6 @@ def in_kernel(b: Binomial, ring: PolyRing) -> bool:
 
 @dataclass
 class ToricIdeal:
-    code: NeuralCode
     ring: PolyRing
     generators: list
     _gb_cache: dict = field(default_factory=dict)
@@ -395,10 +372,10 @@ class ToricIdeal:
     def reduced_groebner_basis(
         self, order: MonomialOrder, max_pairs: int = 200_000, max_degree: int = 60
     ) -> list:
-        cached = self._gb_cache.get(order.key)
+        cached = self._gb_cache.get(order)
         if cached is None:
             cached = buchberger(self.generators, order, max_pairs, max_degree)
-            self._gb_cache[order.key] = cached
+            self._gb_cache[order] = cached
         return cached
 
     def contains(self, b: Optional[Binomial], order: MonomialOrder) -> bool:
@@ -420,35 +397,23 @@ def toric_ideal(
         raise ValueError("code needs at least one nonempty codeword")
     ering = elimination_ring(code)
     yring = codeword_ring(code)
-    eorder = EliminationOrder(ering, CodewordLexOrder)
-    gens = []
-    for c in sorted((c for c in code.words if c), key=word_key):
-        lead = ering.monomial({xvar(i): 1 for i in c})
-        trail = ering.monomial({yvar(c): 1})
-        gens.append(oriented(lead, trail, eorder))
+    eorder = EliminationOrder(ering)
+    gens = [
+        oriented(ering.monomial({xvar(i): 1 for i in v[1]}), ering.monomial({v: 1}), eorder)
+        for v in yring.variables
+    ]
     egb = buchberger(gens, eorder, max_pairs, max_degree)
 
     nx = len(ering.variables) - len(yring.variables)
-
-    def y_project(m: tuple) -> Optional[tuple]:
-        if any(m[:nx]):
-            return None
-        return m[nx:]
-
     inner = CodewordLexOrder(yring)
-    kept = []
-    for g in egb:
-        lead, trail = y_project(g.lead), y_project(g.trail)
-        if lead is not None and trail is not None:
-            kept.append(oriented(lead, trail, inner))
-    ideal = ToricIdeal(code, yring, kept)
+    # an x-free lead has an x-free trail: every x-monomial is larger
+    kept = [
+        oriented(g.lead[nx:], g.trail[nx:], inner) for g in egb if not any(g.lead[:nx])
+    ]
+    ideal = ToricIdeal(yring, kept)
     # the eliminated part is already a reduced GB for the inner order
-    ideal._gb_cache[inner.key] = sorted(kept, key=lambda g: inner.sort_key(g.lead))
+    ideal._gb_cache[inner] = sorted(kept, key=lambda g: inner.sort_key(g.lead))
     return ideal
-
-
-def toric_generators(code: NeuralCode, **caps) -> list:
-    return toric_ideal(code, **caps).generators
 
 
 def gb_max_degree(ideal: ToricIdeal, order: MonomialOrder, **caps) -> int:
@@ -460,18 +425,9 @@ def binomial_from_words(
     ring: PolyRing, order: MonomialOrder, plus: Iterable, minus: Iterable
 ) -> Optional[Binomial]:
     """Binomial y_{plus...} - y_{minus...} from codeword multisets."""
-    a = ring.monomial({yvar(c): sum(1 for d in plus if tuple(sorted(d)) == tuple(sorted(c))) for c in plus})
-    b = ring.monomial({yvar(c): sum(1 for d in minus if tuple(sorted(d)) == tuple(sorted(c))) for c in minus})
+    a = ring.monomial(Counter(yvar(c) for c in plus))
+    b = ring.monomial(Counter(yvar(c) for c in minus))
     return oriented(a, b, order)
-
-
-def embed_binomial(b: Binomial, src: PolyRing, dst: PolyRing) -> Binomial:
-    def conv(m):
-        return dst.monomial(
-            {v: e for v, e in zip(src.variables, m) if e}
-        )
-
-    return Binomial(conv(b.lead), conv(b.trail))
 
 
 def check_nesting(sub: NeuralCode, sup: NeuralCode) -> bool:
@@ -483,96 +439,68 @@ def check_nesting(sub: NeuralCode, sup: NeuralCode) -> bool:
     isub = toric_ideal(sub)
     isup = toric_ideal(sup)
     order = CodewordLexOrder(isup.ring)
-    for g in isub.generators:
-        emb = embed_binomial(g, isub.ring, isup.ring)
-        b = oriented(emb.lead, emb.trail, order)
-        if b is not None and not isup.contains(b, order):
-            return False
-    return True
+
+    def embed(m: tuple) -> tuple:
+        return isup.ring.monomial(dict(zip(isub.ring.variables, m)))
+
+    return all(
+        isup.contains(oriented(embed(g.lead), embed(g.trail), order), order)
+        for g in isub.generators
+    )
 
 
 def homogenize_with_dummy(code: NeuralCode) -> NeuralCode:
     """Adjoin dummy neuron 0 to every codeword, making the toric ideal homogeneous."""
-    return NeuralCode(
-        code.n, frozenset(w | {0} for w in code.words), code.labeled_by_construction
-    )
+    return NeuralCode(code.n, frozenset(w | {0} for w in code.words))
 
 
 # ---------------------------------------------------------------------------
 # conjecture scan
 
 
-def scan_one_code(code_: NeuralCode, order_kind: str, weights,
-                  max_pairs: int, max_degree: int) -> tuple:
-    """(gb degree, None) or (None, skip reason) for one code."""
+def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: int) -> tuple:
+    """(gb degree, None, ms) or (None, skip reason, ms) for one code."""
+    t0 = time.time()
+    deg, reason = 0, None
     try:
-        if not any(code_.words):
-            return 0, None
-        ideal = toric_ideal(code_, max_pairs=max_pairs, max_degree=max_degree)
-        if order_kind == "lex":
-            order = CodewordLexOrder(ideal.ring)
-        elif order_kind == "wgrevlex":
-            order = WeightedGrevlexOrder(
-                ideal.ring, weights if weights is not None else two_subset_weights
-            )
-        else:
-            raise ValueError(f"unknown order kind {order_kind!r}")
-        deg = gb_max_degree(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
-        return deg, None
+        if any(code_.words):
+            ideal = toric_ideal(code_, max_pairs=max_pairs, max_degree=max_degree)
+            order = order_for(ideal.ring, order_kind)
+            deg = gb_max_degree(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
     except ResourceCapExceeded as exc:
-        return None, str(exc)
-
-
-def _scan_worker(args):
-    n, words, order_kind, weights, max_pairs, max_degree = args
-    return scan_one_code(
-        NeuralCode(n, words), order_kind, weights, max_pairs, max_degree
-    )
+        deg, reason = None, str(exc)
+    return deg, reason, round((time.time() - t0) * 1000, 3)
 
 
 def conjecture_scan(
     max_n: int,
     max_k: int,
     order_kind: str = "lex",
-    weights=None,
     max_pairs: int = 200_000,
     max_degree: int = 60,
     jobs: int = 1,
 ) -> dict:
     """Max GB degree under the given order, for every enumerated pierced code.
 
-    ``order_kind`` is "lex" (codeword-order lex) or "wgrevlex" (with
-    ``weights`` a callable on variables or a per-variable vector).
-    Codes whose computation exceeds the caps are reported as skipped,
-    never dropped.  ``jobs`` > 1 fans the per-code work out to worker
-    processes; the report order stays the enumeration order.
+    ``order_kind`` is "lex" (codeword-order lex) or "wgrevlex" (with the
+    two-subset weights), as built by ``order_for``.  Codes whose
+    computation exceeds the caps are reported as skipped, never dropped.
+    ``jobs`` > 1 fans the per-code work out to worker processes; the
+    report order stays the enumeration order.
     """
-    results = []
-    violations = []
-    skipped = []
-    degree_counts: dict = {}
     t_start = time.time()
     enumerated = list(enumerate_pierced_codes(max_n, max_k))
+    codes = [c for c, _ in enumerated]
+    work = partial(_scan_code, order_kind=order_kind, max_pairs=max_pairs, max_degree=max_degree)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [
-            (c.n, c.words, order_kind, weights, max_pairs, max_degree)
-            for c, _ in enumerated
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_scan_worker, args, chunksize=8))
-        times = [None] * len(enumerated)
+            outcomes = list(pool.map(work, codes, chunksize=8))
     else:
-        outcomes = []
-        times = []
-        for code_, _ in enumerated:
-            t0 = time.time()
-            outcomes.append(
-                scan_one_code(code_, order_kind, weights, max_pairs, max_degree)
-            )
-            times.append(round((time.time() - t0) * 1000, 3))
-    for (code_, seq), (deg, reason), t_ms in zip(enumerated, outcomes, times):
+        outcomes = list(map(work, codes))
+    results = []
+    for (code_, seq), (deg, reason, t_ms) in zip(enumerated, outcomes):
         entry = {
             "code": str(code_),
             "n": code_.n,
@@ -580,26 +508,22 @@ def conjecture_scan(
             "size": len(code_.words),
         }
         if reason is None:
-            entry["gb_degree"] = deg
-            entry["status"] = "ok"
-            degree_counts[deg] = degree_counts.get(deg, 0) + 1
-            if deg > 2:
-                violations.append(entry)
+            entry.update(gb_degree=deg, status="ok")
         else:
-            entry["status"] = "skipped"
-            entry["reason"] = reason
-            skipped.append(entry)
-        if t_ms is not None:
-            entry["time_ms"] = t_ms
+            entry.update(status="skipped", reason=reason)
+        entry["time_ms"] = t_ms
         results.append(entry)
+    ok = [e for e in results if e["status"] == "ok"]
     return {
         "max_n": max_n,
         "max_k": max_k,
         "order": order_kind,
         "codes": len(results),
-        "degree_counts": {str(k): v for k, v in sorted(degree_counts.items())},
-        "violations": violations,
-        "skipped": skipped,
+        "degree_counts": {
+            str(k): v for k, v in sorted(Counter(e["gb_degree"] for e in ok).items())
+        },
+        "violations": [e for e in ok if e["gb_degree"] > 2],
+        "skipped": [e for e in results if e["status"] == "skipped"],
         "results": results,
         "total_time_ms": round((time.time() - t_start) * 1000, 1),
     }

@@ -63,6 +63,17 @@ def test_malformed_input_one_line_error(runner, args):
     assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["detect", "--code", TWO, "--max-k", "abc"],
+    ["realize", "--code", TWO, "--mode", "ball", "--samples", "0"],
+    ["realize", "--code", TWO, "--mode", "ball", "--samples", "-5"],
+])
+def test_usage_error_exit_1(runner, args):
+    res = run(runner, *args)
+    assert res.exit_code == 1
+    assert any(line.startswith("Error:") for line in res.output.splitlines()), res.output
+
+
 def test_pierce_command(runner):
     res = run(runner, "pierce", "--code", TWO, "--lam", "[2]", "--sigma", "[1]")
     assert res.exit_code == 0

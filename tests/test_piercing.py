@@ -145,6 +145,14 @@ def test_relabel_replays_on_seeded_relabellings():
         assert _relabeled_replay(seq) == scrambled.words, str(scrambled)
 
 
+def test_relabel_search_is_bounded():
+    # a non-pierced core padded with singletons: without remembering the
+    # label sets that failed, the relabelling search tries every order of
+    # the 9 singleton neurons
+    c = code(12, [], [1], [2], [3], [1, 2, 3], *[[i] for i in range(4, 13)])
+    assert recover_piercing_sequence(c, 3, relabel=True) is None
+
+
 def test_sequence_json_roundtrip():
     seq = PiercingSequence([step(lam=[1]), step(lam=[2], sigma=[1])], (2, 3, 1))
     assert PiercingSequence.from_json_dict(seq.to_json_dict()) == seq
@@ -166,7 +174,8 @@ def test_enumeration_includes_full_3_code():
 def test_enumeration_replay_consistency(pierced_n4_k3):
     for c, seq in pierced_n4_k3:
         assert replay(seq) == c
-        assert c.labeled_by_construction
+        assert replay(recover_piercing_sequence(c, 3)) == c
+        assert NeuralCode.loads(c.dumps()) == c
         assert word() in c and word([1]) in c
 
 

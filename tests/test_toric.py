@@ -4,9 +4,15 @@ import itertools
 import random
 
 import pytest
+import sympy
 
 from piercedcodes.codes import code, word
-from piercedcodes.piercing import PiercingSequence, PiercingStep, replay
+from piercedcodes.piercing import (
+    PiercingSequence,
+    PiercingStep,
+    enumerate_pierced_codes,
+    replay,
+)
 from piercedcodes.toric import (
     CodewordLexOrder,
     EliminationOrder,
@@ -24,6 +30,7 @@ from piercedcodes.toric import (
     in_kernel,
     monomial_map_image,
     normal_form,
+    order_for,
     oriented,
     toric_ideal,
     two_subset_weights,
@@ -139,7 +146,7 @@ def test_monomial_order_axioms(make_order):
 
 def test_elimination_order_property():
     ering = elimination_ring(C4)
-    order = EliminationOrder(ering, CodewordLexOrder)
+    order = EliminationOrder(ering)
     with_x = ering.monomial({("x", 1): 1})
     pure_y = ering.monomial({yvar([1]): 3, yvar([1, 2]): 2})
     assert order.greater(with_x, pure_y)
@@ -258,6 +265,65 @@ def test_counterexample_listed_lex():
     assert gb_max_degree(ideal, order) == 3
     assert sum(1 for g in gb if g.degree == 3) == 2
     assert len(gb) == 17
+
+
+def _as_words(m, words):
+    """A monomial as a set of (codeword, exponent) pairs."""
+    return frozenset((w, e) for w, e in zip(words, m) if e)
+
+
+def _sympy_basis(c, kind):
+    """Reduced GB of the toric ideal by sympy.groebner, as a set of
+    (lead, trail) monomial pairs.
+
+    Lex: the x-free part of an elimination lex basis, with the x's first
+    and the codeword-order-largest y most significant.  wgrevlex: sympy's
+    basis of that part under a key for two-subset weights, then degree,
+    then reverse lex.
+    """
+    words = sorted((tuple(sorted(w)) for w in c.words if w),
+                   key=lambda w: (w[-1], -len(w), w))
+    neurons = sorted({i for w in words for i in w})
+    xs = [sympy.Symbol(f"x{i}") for i in neurons]
+    ys = [sympy.Symbol("y_" + "".join(map(str, w))) for w in words]
+    gens = [y - sympy.Mul(*(xs[neurons.index(i)] for i in w)) for y, w in zip(ys, words)]
+    elim = sympy.groebner(gens, *xs, *reversed(ys), order="lex")
+    kernel = [g for g in elim.exprs if not g.free_symbols & set(xs)]
+    if kind == "lex":
+        polys = [sympy.Poly(g, *reversed(ys)) for g in kernel]
+        listed, key = words[::-1], tuple
+    else:
+        weights = [int(len(w) == 2) for w in words]
+
+        def key(m):
+            return (sum(a * e for a, e in zip(weights, m)), sum(m),
+                    tuple(-e for e in reversed(m)))
+
+        polys = sympy.groebner(kernel, *ys, order=key).polys if kernel else []
+        listed = words
+    out = set()
+    for p in polys:
+        terms = p.terms()
+        assert sorted(int(coef) for _, coef in terms) == [-1, 1]
+        lead, trail = sorted((m for m, _ in terms), key=key, reverse=True)
+        out.add((_as_words(lead, listed), _as_words(trail, listed)))
+    return out
+
+
+def test_orders_match_sympy_groebner(pierced_n4_k3):
+    # an independent oracle for both orders the scan uses
+    fours = [c for c, _ in pierced_n4_k3 if c.n == 4]
+    codes = [c for c, _ in enumerate_pierced_codes(3, 2)]
+    codes += random.Random(7).sample(fours, 10)
+    for c in codes:
+        if not any(c.words):
+            continue
+        ideal = toric_ideal(c)
+        words = [v[1] for v in ideal.ring.variables]
+        for kind in ("lex", "wgrevlex"):
+            gb = ideal.reduced_groebner_basis(order_for(ideal.ring, kind))
+            got = {(_as_words(g.lead, words), _as_words(g.trail, words)) for g in gb}
+            assert got == _sympy_basis(c, kind), (str(c), kind)
 
 
 def test_conjecture_scan_small():
