@@ -4,20 +4,27 @@ A k-pierced sequence is realized in dimension k+1.  Each step picks a
 point on the common boundary sphere of the pierced balls (via the
 radical-hyperplane linear system), inside the sigma-balls and outside
 the tau-balls, and drops a small new ball there.  Sphere intersections
-are generically irrational, so this pipeline is floating point with an
-explicit tolerance; verification is by witness margins plus
-quasi-random sampling.
+are generically irrational, so the builder works in floating point with
+an explicit tolerance.  Verification is exact all the same: it reads
+the float centres and radii as the rationals they are, checks every
+witness in ``Fraction`` arithmetic, and bounds the patterns the balls
+can show by the construction's own induction.  A Sobol sample of the
+bounding box is an optional, probabilistic cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy.stats import qmc
 
 from .codes import NeuralCode
-from .piercing import BASE_CODE, PiercingSequence, pierce
+from .piercing import BASE_CODE, PiercingSequence, first_word_outside, pierce
+
+# points classified at once by the sampling cross-check
+SAMPLE_BLOCK = 2**14
 
 
 class BallConstructionError(Exception):
@@ -276,31 +283,89 @@ def _new_atom_witnesses(real, step, p, r_new, new_index):
     return out
 
 
+def _exact(point) -> tuple:
+    return tuple(Fraction(float(x)) for x in point)
+
+
+def _dist2(x, y) -> Fraction:
+    return sum((a - b) ** 2 for a, b in zip(x, y))
+
+
+def _exact_pattern(centers, radii, x) -> frozenset:
+    return frozenset(
+        i for i, (c, r) in enumerate(zip(centers, radii), 1) if _dist2(x, c) < r * r
+    )
+
+
+def _ball_tips(centers, radii):
+    """(m, sigma, lam) per ball m: the earlier balls that contain ball m
+    (sigma), and those that neither contain nor miss it (lam).
+
+    A point whose largest ball is m lies in ball m, so in every sigma-ball
+    and in no ball that misses ball m.  The tests are exact on the
+    rational centres and radii.
+    """
+    for m, (cm, rm) in enumerate(zip(centers, radii), 1):
+        sigma, lam = set(), set()
+        for i, (ci, ri) in enumerate(zip(centers[: m - 1], radii), 1):
+            d2 = _dist2(cm, ci)
+            if ri >= rm and d2 <= (ri - rm) ** 2:
+                sigma.add(i)
+            elif d2 < (ri + rm) ** 2:
+                lam.add(i)
+        yield m, frozenset(sigma), frozenset(lam)
+
+
+def _sampled_patterns(real: BallRealization, samples: int, seed: int):
+    """Bitmask patterns met by a scrambled Sobol sample of the bounding
+    box, and the sample size: ``samples`` rounded up to a power of 2,
+    which keeps the sequence balanced.  Points are classified in blocks
+    of at most SAMPLE_BLOCK, so memory does not grow with the sample."""
+    drawn = 1 << (samples - 1).bit_length()
+    block = min(drawn, SAMPLE_BLOCK)
+    lo, hi = real.bounding_box()
+    sampler = qmc.Sobol(d=real.dim, scramble=True, seed=seed)
+    centers = np.array(real.centers)
+    radii2 = np.array(real.radii) ** 2
+    weights = 1 << np.arange(len(radii2))
+    found = set()
+    for _ in range(drawn // block):
+        pts = lo + sampler.random(block) * (hi - lo)
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        found.update(int(x) for x in np.unique((d2 < radii2) @ weights))
+    return found, drawn
+
+
 def verify_ball_realization(
     real: BallRealization,
     expected: NeuralCode,
-    samples: int = 1_000_000,
+    samples: int = 0,
     seed: int = 7,
 ) -> dict:
-    """Witness margins plus quasi-random sampling.
+    """Exact check that the balls realize ``expected``.
 
-    Every expected codeword's witness must classify correctly with
-    margin above tolerance; a Sobol sample of the bounding box must
-    produce no sign pattern outside the expected code.  The sampling
-    half is probabilistic and labeled as such in the report.
+    Every expected codeword's witness must show its pattern in exact
+    arithmetic and keep a margin above tolerance, so the code is
+    realized.  The inductive bound of ``_ball_tips`` must lie in the
+    code, so nothing else is: the first pattern it cannot exclude is
+    named in ``unexpected_patterns``.  With ``samples`` > 0 a Sobol
+    sample (labelled probabilistic) is drawn as well; a pattern it meets
+    outside the code can only turn the verdict false.
     """
     report = {
+        "exact": True,
         "witnesses_ok": True,
         "min_witness_margin": None,
-        "sampling_ok": True,
-        "sampling_is_probabilistic": True,
-        "samples": samples,
+        "upper_bound_ok": True,
         "unexpected_patterns": [],
+        "samples": 0,
     }
+    centers = [_exact(c) for c in real.centers]
+    radii = [Fraction(float(r)) for r in real.radii]
     margins = []
     for c in expected.words:
         w = real.witnesses.get(c)
-        if w is None or real.pattern_at(np.asarray(w)) != c:
+        if w is None or _exact_pattern(centers, radii, _exact(w)) != c:
             report["witnesses_ok"] = False
             report.setdefault("failed_witnesses", []).append(sorted(c))
             continue
@@ -312,24 +377,23 @@ def verify_ball_realization(
     if set(real.witnesses) != set(expected.words):
         report["witnesses_ok"] = False
 
-    lo, hi = real.bounding_box()
-    sampler = qmc.Sobol(d=real.dim, scramble=True, seed=seed)
-    pts = lo + sampler.random(samples) * (hi - lo)
-    centers = np.array(real.centers)
-    radii = np.array(real.radii)
-    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    inside = d2 < (radii**2)[None, :]
-    weights = 1 << np.arange(len(radii))
-    patterns = inside @ weights
-    expected_masks = {
-        sum(1 << (i - 1) for i in c) for c in expected.words
-    }
-    found = set(int(x) for x in np.unique(patterns))
-    extra = found - expected_masks
-    if extra:
-        report["sampling_ok"] = False
-        report["unexpected_patterns"] = [
-            sorted(i + 1 for i in range(len(radii)) if m >> i & 1) for m in sorted(extra)
-        ]
-    report["ok"] = report["witnesses_ok"] and report["sampling_ok"]
+    unexpected = set()
+    excess = first_word_outside(expected.words, _ball_tips(centers, radii))
+    if excess is not None:
+        report["upper_bound_ok"] = False
+        unexpected.add(excess)
+    if samples:
+        found, report["samples"] = _sampled_patterns(real, samples, seed)
+        sampled = {
+            frozenset(i + 1 for i in range(len(radii)) if m >> i & 1) for m in found
+        } - expected.words
+        report["sampling_is_probabilistic"] = True
+        report["sampling_ok"] = not sampled
+        unexpected |= sampled
+    report["unexpected_patterns"] = sorted(sorted(w) for w in unexpected)
+    report["ok"] = (
+        report["witnesses_ok"]
+        and report["upper_bound_ok"]
+        and report.get("sampling_ok", True)
+    )
     return report

@@ -46,6 +46,8 @@ def _load_code(input_path, inline):
             raise CliError("provide --input or --code", EXIT_BAD_INPUT)
         if not c.words:
             raise ValueError("the code has no codewords")
+        if any(0 in w for w in c.words):
+            raise ValueError("neuron labels must be 1 or more")
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed code input: {exc}", EXIT_BAD_INPUT)
     return c
@@ -247,7 +249,9 @@ def nesting(sub, sup, out):
 @with_code_opts
 @click.option("--mode", type=click.Choice(["hyperplane", "ball"]), required=True)
 @click.option("--max-k", default=3, show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=1_000_000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=None,
+              help="ball mode: also cross-check with a Sobol sample of at least this "
+                   "many points (a power of 2 is drawn); probabilistic, can only fail")
 @click.option("--seed", default=7, show_default=True)
 @click.option("--svg", "svg_path", default=None,
               help="write an SVG picture (2-D hyperplane arrangements only)")
@@ -280,7 +284,7 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
                 fh.write(hyperplane.arrangement_svg(r) + "\n")
     else:
         r = balls.build_ball_realization(seq, seed=seed)
-        rep = balls.verify_ball_realization(r, c, samples=samples, seed=seed)
+        rep = balls.verify_ball_realization(r, c, samples=samples or 0, seed=seed)
         report = {
             "code": str(c),
             "mode": mode,

@@ -4,8 +4,9 @@ The builder replays a piercing sequence, starting from a split line
 segment and, at each step, pulling a carefully chosen point out into a
 new dimension: the bounding simplex becomes a cone over the old one and
 a horizontal halfspace slices a small neighborhood off its tip.  All
-arithmetic is over Fractions; verification decides strict feasibility
-of every sign region exactly.
+arithmetic is over Fractions.  Verification follows the same
+construction: exact witnesses show every codeword is realized, and an
+inductive bound on the sign patterns of each tip shows nothing else is.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 from .codes import NeuralCode
 from .exactlp import _dot, _norm1, max_slack, solve_linear, strictly_feasible
-from .piercing import BASE_CODE, PiercingSequence, pierce
+from .piercing import BASE_CODE, PiercingSequence, first_word_outside, pierce
 
 F = Fraction
 
@@ -239,7 +240,11 @@ def _perturb(p, facets, halfspaces, a_scale, rho):
 
 
 def realized_code(r: HyperplaneRealization) -> NeuralCode:
-    """The code cut out by the arrangement, decided exactly per sign vector."""
+    """The code cut out by the arrangement, decided exactly per sign vector.
+
+    2^n exact LPs: an independent oracle for the verifier, which does
+    not call it.
+    """
     n = len(r.halfspaces)
     words = set()
     for mask in range(2**n):
@@ -249,29 +254,118 @@ def realized_code(r: HyperplaneRealization) -> NeuralCode:
     return NeuralCode(n, frozenset(words))
 
 
-def verify_hyperplane_realization(r: HyperplaneRealization, expected: NeuralCode):
-    """Exact check that the arrangement realizes ``expected``.
+def _barycentric(vertices, point) -> list:
+    """Barycentric coordinates of ``point`` (length d) in the level-d
+    simplex spanned by vertices 0..d, read off by back-substitution:
+    vertex j >= 2 has a 1 in coordinate j and zeros after it."""
+    d = len(point)
+    rest = list(point)
+    lam = [F(0)] * (d + 1)
+    for j in range(d, 1, -1):
+        lam[j] = rest[j - 1]
+        rest = [x - lam[j] * v for x, v in zip(rest, vertices[j])]
+    (a,), (b,) = vertices[0][:1], vertices[1][:1]
+    total = 1 - sum(lam[2:])
+    lam[1] = (rest[0] - total * a) / (b - a)
+    lam[0] = total - lam[1]
+    return lam
 
-    Returns (ok, discrepancy); a discrepancy names the offending sign
-    vector or witness.
+
+def _structure_fault(r: HyperplaneRealization) -> Optional[str]:
+    """Why ``r`` lacks the shape the inductive bound relies on, or None.
+
+    The shape is the builder's: halfspace i and vertex j vanish beyond
+    coordinates i and max(1, j), vertices 0 and 1 differ, and for
+    m >= 2 halfspace m is x_m >= 1 - a with 0 < a < 1 and vertex m is an
+    apex (p', 1) with p' in the closed level-(m-1) simplex.
+    """
+    n, hss, vs = len(r.halfspaces), r.halfspaces, r.bound_vertices
+    if r.dim != n or len(vs) != n + 1 or any(len(x) != n for x in vs) or any(
+        len(hs.normal) != n for hs in hss
+    ):
+        return "not n halfspaces and n+1 vertices in R^n"
+    for i, hs in enumerate(hss, 1):
+        if any(hs.normal[i:]):
+            return f"halfspace {i} is not zero beyond coordinate {i}"
+    for j, v in enumerate(vs):
+        if any(v[max(1, j):]):
+            return f"vertex {j} is not zero beyond coordinate {max(1, j)}"
+    if vs[0][0] == vs[1][0]:
+        return "vertices 0 and 1 coincide"
+    for m in range(2, n + 1):
+        hs = hss[m - 1]
+        e_m = tuple(F(int(k == m - 1)) for k in range(n))
+        if hs.orientation != 1 or hs.normal != e_m or not 0 < hs.offset < 1:
+            return f"halfspace {m} is not x_{m} >= 1 - a with 0 < a < 1"
+        if vs[m][m - 1] != 1 or min(_barycentric(vs, vs[m][: m - 1])) < 0:
+            return f"vertex {m} is not an apex (p', 1) over the level-{m - 1} simplex"
+    return None
+
+
+def _tips(r: HyperplaneRealization):
+    """(m, sigma, lam) per halfspace m, for ``first_word_outside``.
+
+    At level m the bounding simplex is the cone over the level-(m-1)
+    simplex with apex (p', 1), so the tip x_m > 1 - a projects into the
+    a-dilation D of that simplex about p'.  Halfspace i < m is constant
+    along x_m, so it is on the whole tip (sigma) when it is on at every
+    vertex of D, off it when off at every vertex, and in lam otherwise;
+    a vertex on its hyperplane puts it in lam, which only loosens the
+    bound.  Level 1 has the tip {1} with nothing below it.
+    """
+    yield 1, frozenset(), frozenset()
+    for m in range(2, len(r.halfspaces) + 1):
+        a = 1 - r.halfspaces[m - 1].offset
+        p = r.bound_vertices[m][: m - 1]
+        corners = [
+            tuple(pk + a * (vk - pk) for pk, vk in zip(p, v))
+            for v in r.bound_vertices[:m]
+        ]
+        sigma, lam = set(), set()
+        for i, hs in enumerate(r.halfspaces[: m - 1], 1):
+            on = [hs.orientation * hs.value(x) for x in corners]
+            if all(v > 0 for v in on):
+                sigma.add(i)
+            elif not all(v < 0 for v in on):
+                lam.add(i)
+        yield m, frozenset(sigma), frozenset(lam)
+
+
+def verify_hyperplane_realization(r: HyperplaneRealization, expected: NeuralCode):
+    """Exact check, along the construction, that the arrangement realizes
+    ``expected``; no LP is solved.
+
+    The witnesses, checked exactly against every strict row, show each
+    of their codewords is realized, and they must be exactly the
+    expected ones.  Given the construction's shape, the sign patterns of
+    the open bounding simplex lie in the bound of ``_tips``, which must
+    lie in the code.  Returns (ok, discrepancy); a discrepancy names the
+    offending sign vector or witness.  Under "code mismatch", ``extra``
+    holds witnessed codewords outside the code or the first pattern the
+    bound cannot exclude, and ``missing`` the codewords with no witness.
     """
     n = len(r.halfspaces)
     if expected.n != n:
         return False, {"reason": "halfspace count differs from neuron count"}
+    fault = _structure_fault(r)
+    if fault is not None:
+        return False, {"reason": "not a construction arrangement", "detail": fault}
     for c, w in r.witnesses.items():
         for row, b in r.sign_rows(c):
             if not sum(a * x for a, x in zip(row, w)) < b:
                 return False, {"reason": "witness fails", "codeword": sorted(c)}
-    got = realized_code(r)
-    if got.words != expected.words:
-        extra = got.words - expected.words
-        missing = expected.words - got.words
-        bad = sorted(next(iter(extra | missing)))
+    witnessed = frozenset(r.witnesses)
+    extra, missing = witnessed - expected.words, expected.words - witnessed
+    if not extra and not missing:
+        excess = first_word_outside(expected.words, _tips(r))
+        if excess is not None:
+            extra = {excess}
+    if extra or missing:
         return False, {
             "reason": "code mismatch",
-            "sign_vector": bad,
-            "extra": [sorted(w) for w in sorted(extra, key=sorted)],
-            "missing": [sorted(w) for w in sorted(missing, key=sorted)],
+            "sign_vector": min(sorted(w) for w in extra | missing),
+            "extra": sorted(sorted(w) for w in extra),
+            "missing": sorted(sorted(w) for w in missing),
         }
     return True, None
 

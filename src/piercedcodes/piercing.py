@@ -116,6 +116,27 @@ def pierce(code: NeuralCode, step: PiercingStep) -> NeuralCode:
     return NeuralCode(new, code.words | added)
 
 
+def first_word_outside(words: frozenset, tips) -> Optional[frozenset]:
+    """The first word of an inductive pattern bound that is not in ``words``.
+
+    ``tips`` yields (m, sigma, lam): every point of a realization whose
+    largest active neuron is m has the pattern sigma ∪ nu ∪ {m} for some
+    nu ⊆ lam, as if neuron m were added by piercing.  The bound is these
+    patterns and the empty one.  Patterns are generated smallest nu
+    first and the search stops at the first one outside ``words``, so
+    each tip costs at most |words| + 1 patterns.  None means the whole
+    bound lies in ``words``.
+    """
+    if frozenset() not in words:
+        return frozenset()
+    for m, sigma, lam in tips:
+        for nu in _subsets(lam):
+            w = sigma | nu | {m}
+            if w not in words:
+                return w
+    return None
+
+
 def replay(seq: PiercingSequence, base: NeuralCode = BASE_CODE) -> NeuralCode:
     c = base
     for step in seq:

@@ -256,7 +256,8 @@ def test_criterion_9_numeric_balls(enum_n4_k2):
         good = real.dim == max(1, seq.degree + 1)
         rep = verify_ball_realization(real, c, samples=2**20)
         good &= rep["ok"]
-        good &= rep["sampling_is_probabilistic"]
+        good &= rep["exact"] and rep["upper_bound_ok"]
+        good &= rep["samples"] == 2**20 and rep["sampling_ok"]
         good &= rep["min_witness_margin"] > 1e-9
         failures += not good
     ok = failures == 0

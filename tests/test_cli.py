@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -55,6 +56,7 @@ def test_malformed_input_exit_1(runner):
     ["toric-gb", "--code", TWO, "--order", "wgrevlex", "--weights", "[1]"],
     ["toric-gb", "--code", TWO, "--order", "wgrevlex", "--weights", "notjson"],
     ["toric-gb", "--code", "[[]]"],
+    ["analyze", "--code", "[[],[0],[1]]"],
 ])
 def test_malformed_input_one_line_error(runner, args):
     res = run(runner, *args)
@@ -150,7 +152,29 @@ def test_realize_ball(runner):
     assert res.exit_code == 0
     rep = json.loads(res.output)
     assert rep["verified"]
-    assert rep["verification"]["sampling_is_probabilistic"]
+    ver = rep["verification"]
+    assert ver["exact"] and ver["upper_bound_ok"] and ver["witnesses_ok"]
+    assert ver["samples"] == 4096 and ver["sampling_ok"]
+
+
+def test_realize_ball_exact_by_default(runner):
+    res = run(runner, "realize", "--code", FIG, "--mode", "ball")
+    assert res.exit_code == 0
+    ver = json.loads(res.output)["verification"]
+    assert ver["exact"] and ver["upper_bound_ok"] and ver["samples"] == 0
+    assert "sampling_ok" not in ver
+
+
+def test_realize_ball_samples_power_of_two(runner):
+    # scipy warns when a Sobol sample is not a power of 2; the count is
+    # rounded up instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(runner, "realize", "--code", TWO, "--mode", "ball",
+                  "--samples", "1000")
+    assert res.exit_code == 0, res.output
+    ver = json.loads(res.output)["verification"]
+    assert ver["samples"] == 1024 and ver["sampling_is_probabilistic"]
 
 
 def test_realize_not_pierced_exit_2(runner):

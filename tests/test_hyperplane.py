@@ -1,10 +1,14 @@
 """Exact hyperplane realizations."""
 
+import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from piercedcodes.codes import code
+from piercedcodes.exactlp import max_slack
 from piercedcodes.hyperplane import (
     Halfspace,
     arrangement_svg,
@@ -19,7 +23,7 @@ from piercedcodes.piercing import (
     PiercingStep,
     recover_piercing_sequence,
 )
-from .conftest import FIG_CODE
+from .conftest import FIG_CODE, seeded_pierced
 
 
 def seq_for(c, max_k=3):
@@ -146,3 +150,58 @@ def test_sweep_n3(pierced_n4_k3):
         assert r.dim == c.n
         assert len(r.bound_vertices) == c.n + 1
         assert nondegeneracy_margin(r) > 0
+
+
+def test_verifier_agrees_with_realized_code(pierced_n4_k3):
+    # realized_code decides all 2^n sign vectors by exact LPs; the
+    # verifier solves none
+    for c, seq in pierced_n4_k3 + seeded_pierced(5, 20, seed=8):
+        r = build_hyperplane_realization(seq)
+        ok, disc = verify_hyperplane_realization(r, c)
+        assert ok, (str(c), disc)
+        assert realized_code(r).words == c.words, str(c)
+
+
+def _corrupt(r, rng):
+    """A copy of ``r`` with one seeded change: a shifted offset, a moved
+    apex, or a tilted normal on the newest coordinate's halfspace."""
+    n = len(r.halfspaces)
+    m = rng.randrange(2, n + 1)
+    small = F(rng.choice((-1, 1)), 2 ** rng.randrange(1, 9))
+    kind = rng.randrange(3)
+    if kind == 0:
+        i = rng.randrange(n)
+        hss = list(r.halfspaces)
+        hss[i] = dataclasses.replace(hss[i], offset=hss[i].offset + small)
+        return dataclasses.replace(r, halfspaces=hss)
+    if kind == 1:
+        vs = list(r.bound_vertices)
+        k = rng.randrange(m - 1)
+        vs[m] = tuple(x + small if j == k else x for j, x in enumerate(vs[m]))
+        return dataclasses.replace(r, bound_vertices=vs)
+    hss = list(r.halfspaces)
+    k = rng.randrange(m - 1)
+    normal = tuple(x + small if j == k else x for j, x in enumerate(hss[m - 1].normal))
+    hss[m - 1] = dataclasses.replace(hss[m - 1], normal=normal)
+    return dataclasses.replace(r, halfspaces=hss)
+
+
+def test_verifier_sound_under_corruption(pierced_n4_k3):
+    # the witnesses are placed afresh for the corrupted arrangement, so
+    # only the pattern bound stands between a changed code and acceptance
+    rng = random.Random(23)
+    cases = [x for x in pierced_n4_k3 if x[0].n >= 3]
+    verdicts = Counter()
+    for c, seq in rng.sample(cases, 50):
+        r = _corrupt(build_hyperplane_realization(seq), rng)
+        r.witnesses = {}
+        for w in c.words:
+            margin, point = max_slack(r.sign_rows(w))
+            if margin is not None and margin > 0:
+                r.witnesses[w] = point
+        ok, disc = verify_hyperplane_realization(r, c)
+        verdicts[disc["reason"] if disc else "accepted"] += 1
+        if ok:
+            assert realized_code(r).words == c.words, str(c)
+    assert verdicts["accepted"] and verdicts["code mismatch"], verdicts
+    assert verdicts["not a construction arrangement"], verdicts
