@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from .codes import NeuralCode
 from .piercing import BASE_CODE, PiercingSequence, first_word_outside, pierce
@@ -321,6 +320,8 @@ def _sampled_patterns(real: BallRealization, samples: int, seed: int):
     box, and the sample size: ``samples`` rounded up to a power of 2,
     which keeps the sequence balanced.  Points are classified in blocks
     of at most SAMPLE_BLOCK, so memory does not grow with the sample."""
+    # imported here so that loading the package does not load scipy
+    from scipy.stats import qmc
     drawn = 1 << (samples - 1).bit_length()
     block = min(drawn, SAMPLE_BLOCK)
     lo, hi = real.bounding_box()

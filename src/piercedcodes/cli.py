@@ -62,18 +62,6 @@ def _emit(report: dict, out):
         click.echo(text)
 
 
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_timing(v)
-            for k, v in obj.items()
-            if k not in ("time_ms", "total_time_ms")
-        }
-    if isinstance(obj, list):
-        return [_strip_timing(x) for x in obj]
-    return obj
-
-
 code_opts = [
     click.option("--input", "input_path", type=click.Path(exists=True), default=None,
                  help="JSON file with {\"neurons\": n, \"codewords\": [[..]]}"),
@@ -122,10 +110,10 @@ def analyze(input_path, inline, max_k, out):
     delta = complexes.simplicial_complex_of(c)
     comps = complexes.connected_components(delta)
     vd = [complexes.is_vertex_decomposable(k)[0] for k in comps]
+    seq = recover_piercing_sequence(c, max_k, relabel=True)
     gamma = complexes.polar_complex_of(c)
-    order = complexes.shelling_order(c)
+    order = complexes.shelling_order(c, seq)
     shelling_ok, witness = complexes.verify_shelling(gamma.as_complex(), order)
-    seq = recover_piercing_sequence(c, max_k)
     report = {
         "code": str(c),
         "neurons": c.n,
@@ -261,13 +249,15 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
     if svg_path and mode != "hyperplane":
         raise CliError("--svg is only available in hyperplane mode", EXIT_BAD_INPUT)
     c = _load_code(input_path, inline)
-    seq = recover_piercing_sequence(c, max_k)
+    seq = recover_piercing_sequence(c, max_k, relabel=True)
     if seq is None:
         _emit({"code": str(c), "status": "not_pierced"}, out)
         sys.exit(EXIT_VIOLATION)
+    # the realization is built, and so checked, in construction labels
+    built = NeuralCode(c.n, frozenset(map(seq.construction_word, c.words)))
     if mode == "hyperplane":
         r = hyperplane.build_hyperplane_realization(seq)
-        ok, witness = hyperplane.verify_hyperplane_realization(r, c)
+        ok, witness = hyperplane.verify_hyperplane_realization(r, built)
         report = {
             "code": str(c),
             "mode": mode,
@@ -284,7 +274,7 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
                 fh.write(hyperplane.arrangement_svg(r) + "\n")
     else:
         r = balls.build_ball_realization(seq, seed=seed)
-        rep = balls.verify_ball_realization(r, c, samples=samples or 0, seed=seed)
+        rep = balls.verify_ball_realization(r, built, samples=samples or 0, seed=seed)
         report = {
             "code": str(c),
             "mode": mode,
@@ -294,6 +284,8 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
             "realization": r.to_json_dict(),
         }
         ok = rep["ok"]
+    if seq.relabeling is not None:
+        report["relabeling"] = list(seq.relabeling)
     _emit(report, out)
     if not ok:
         sys.exit(EXIT_VIOLATION)
@@ -313,13 +305,11 @@ def scan_conjecture(max_n, max_k, order_kind, max_pairs, max_degree, jobs, timin
     try:
         report = toric.conjecture_scan(
             max_n, max_k, order_kind, max_pairs=max_pairs, max_degree=max_degree,
-            jobs=jobs,
+            jobs=jobs, timing=timing,
         )
     except ResourceLimitExceeded as exc:
         _emit({"status": "resource_cap", "detail": str(exc)}, out)
         sys.exit(EXIT_RESOURCE)
-    if not timing:
-        report = _strip_timing(report)
     _emit(report, out)
     if report["violations"]:
         sys.exit(EXIT_VIOLATION)

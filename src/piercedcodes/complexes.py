@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .codes import NeuralCode
+from .codes import NeuralCode, word_key
 
 
 def _maximal(faces: Iterable[frozenset]) -> frozenset:
@@ -218,9 +218,11 @@ def polar_complex_of(code: NeuralCode) -> PolarComplex:
     return PolarComplex(code.n, frozenset(polar_facet(c, code.n) for c in code.words))
 
 
-def shelling_order(code: NeuralCode) -> list:
-    """Facets of the polar complex in the codeword order."""
-    return [polar_facet(c, code.n) for c in code.sorted_words()]
+def shelling_order(code: NeuralCode, seq=None) -> list:
+    """Facets of the polar complex in the codeword order; given the code's
+    piercing sequence, codewords are ranked in its construction labels."""
+    label = frozenset if seq is None else seq.construction_word
+    return [polar_facet(c, code.n) for c in sorted(code.words, key=lambda c: word_key(label(c)))]
 
 
 def verify_shelling(k: SimplicialComplex, order: list):

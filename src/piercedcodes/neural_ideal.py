@@ -1,9 +1,10 @@
 """Pseudo-monomials over F2 and the canonical form of the neural ideal.
 
 A pseudo-monomial prod_{i in on} x_i * prod_{j in off} (1 - x_j) is
-stored as the disjoint pair (on, off).  Everything here evaluates only
-on 0/1 indicator vectors of codewords, so no polynomial arithmetic is
-needed.
+stored as the disjoint pair (on, off), and evaluated only on 0/1
+indicator vectors of codewords, so no polynomial arithmetic is needed.
+The canonical form is the set of minimal non-faces of the polar
+complex (see :mod:`piercedcodes.complexes`), read off its faces.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import complexes
 from .codes import NeuralCode
 
 
@@ -62,30 +64,24 @@ def vanishes_on(pm: PseudoMonomial, code: NeuralCode) -> bool:
 
 
 def canonical_form(code: NeuralCode) -> list:
-    """Divisibility-minimal vanishing pseudo-monomials, by 3^n enumeration.
+    """The minimal non-faces of the polar complex, as pseudo-monomials.
 
-    Output is sorted by degree, then on-set, then off-set.  The
-    constant pseudo-monomial is excluded; it never vanishes on a
-    nonempty code.
+    (on, off) vanishes on the code iff on ∪ -off lies in no polar facet.
+    A minimal non-face is a face plus a literal of a larger neuron than
+    any in the face.  Sorted by degree, then on-set, then off-set.
     """
     if not code.words:
         raise ValueError("code must be nonempty")
-    neurons = list(code.neurons)
-    vanishing = []
-    for assignment in itertools.product((0, 1, 2), repeat=code.n):
-        on = frozenset(i for i, a in zip(neurons, assignment) if a == 1)
-        off = frozenset(i for i, a in zip(neurons, assignment) if a == 2)
-        if not on and not off:
-            continue
-        pm = PseudoMonomial(on, off)
-        if vanishes_on(pm, code):
-            vanishing.append(pm)
-    minimal = [
-        pm
-        for pm in vanishing
-        if not any(other is not pm and other.divides(pm) for other in vanishing)
-    ]
-    return sorted(minimal, key=_sort_key)
+    faces = complexes.polar_complex_of(code).as_complex().faces()
+    minimal = []
+    for f in faces:
+        for i in range(max(map(abs, f), default=0) + 1, code.n + 1):
+            for v in (i, -i):
+                s = f | {v}
+                if s not in faces and all(s - {u} in faces for u in f):
+                    minimal.append(s)
+    cf = (PseudoMonomial({v for v in s if v > 0}, {-v for v in s if v < 0}) for s in minimal)
+    return sorted(cf, key=_sort_key)
 
 
 def cf_max_degree(code: NeuralCode) -> int:

@@ -67,8 +67,8 @@ class PiercingSequence:
     """One step per neuron 2..n; replaying from {{}, {1}} rebuilds the code.
 
     ``relabeling`` is only present when detection had to permute neuron
-    labels: relabeling[i] is the original label of the neuron added at
-    step i+1 of the construction.
+    labels: relabeling[i] is the original label of construction neuron
+    i+1.
     """
 
     steps: tuple = ()
@@ -86,6 +86,12 @@ class PiercingSequence:
     @property
     def degree(self) -> int:
         return max((s.degree for s in self.steps), default=0)
+
+    def construction_word(self, w: frozenset) -> frozenset:
+        """Codeword ``w`` of the detected code, in construction labels."""
+        if self.relabeling is None:
+            return frozenset(w)
+        return frozenset(self.relabeling.index(label) + 1 for label in w)
 
     def to_json_dict(self) -> dict:
         d = {"steps": [s.to_json_dict() for s in self.steps]}
@@ -151,7 +157,8 @@ def _recover_last_step(words: frozenset, neurons: frozenset, j: int, max_k: int)
     step is written in the same labels.  The step is forced: with
     S = {c \\ {j} : j in c in C}, sigma is the common intersection, lambda
     the rest of the union, tau everything else.  Acceptance requires S to
-    be exactly the sigma-union-nu family.
+    be exactly the sigma-union-nu family, and the step to be a piercing of
+    the rest: every member of S is a codeword there too.
     """
     with_j = [w for w in words if j in w]
     if not with_j:
@@ -168,6 +175,8 @@ def _recover_last_step(words: frozenset, neurons: frozenset, j: int, max_k: int)
     if s_family != {sigma | nu for nu in _subsets(lam)}:
         return None
     rest_words = words - frozenset(with_j)
+    if not s_family <= rest_words:
+        return None
     step = PiercingStep(lam, sigma, tau)
     return step, rest_words
 
@@ -215,13 +224,9 @@ def recover_piercing_sequence(
         return None
     steps, order = got
     # order[i] is the label added at construction position i + 1
-    position = {label: i for i, label in enumerate(order, 1)}
-
-    def moved(block):
-        return frozenset(position[l] for l in block)
-
-    steps = tuple(PiercingStep(moved(s.lam), moved(s.sigma), moved(s.tau)) for s in steps)
     relabeling = None if order == tuple(code.neurons) else order
+    moved = PiercingSequence((), relabeling).construction_word
+    steps = tuple(PiercingStep(moved(s.lam), moved(s.sigma), moved(s.tau)) for s in steps)
     return PiercingSequence(steps, relabeling)
 
 

@@ -458,9 +458,10 @@ def homogenize_with_dummy(code: NeuralCode) -> NeuralCode:
 # conjecture scan
 
 
-def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: int) -> tuple:
-    """(gb degree, None, ms) or (None, skip reason, ms) for one code."""
-    t0 = time.time()
+def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: int,
+               timing: bool) -> tuple:
+    """(gb degree, None, ms) or (None, skip reason, ms) for one code; ms only if timing."""
+    t0 = time.time() if timing else None
     deg, reason = 0, None
     try:
         if any(code_.words):
@@ -469,7 +470,7 @@ def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: i
             deg = gb_max_degree(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
     except ResourceCapExceeded as exc:
         deg, reason = None, str(exc)
-    return deg, reason, round((time.time() - t0) * 1000, 3)
+    return deg, reason, round((time.time() - t0) * 1000, 3) if timing else None
 
 
 def conjecture_scan(
@@ -479,6 +480,7 @@ def conjecture_scan(
     max_pairs: int = 200_000,
     max_degree: int = 60,
     jobs: int = 1,
+    timing: bool = False,
 ) -> dict:
     """Max GB degree under the given order, for every enumerated pierced code.
 
@@ -486,12 +488,14 @@ def conjecture_scan(
     two-subset weights), as built by ``order_for``.  Codes whose
     computation exceeds the caps are reported as skipped, never dropped.
     ``jobs`` > 1 fans the per-code work out to worker processes; the
-    report order stays the enumeration order.
+    report order stays the enumeration order.  ``timing`` adds the
+    wall-clock fields ``time_ms`` per code and ``total_time_ms``.
     """
     t_start = time.time()
     enumerated = list(enumerate_pierced_codes(max_n, max_k))
     codes = [c for c, _ in enumerated]
-    work = partial(_scan_code, order_kind=order_kind, max_pairs=max_pairs, max_degree=max_degree)
+    work = partial(_scan_code, order_kind=order_kind, max_pairs=max_pairs,
+                   max_degree=max_degree, timing=timing)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -511,10 +515,11 @@ def conjecture_scan(
             entry.update(gb_degree=deg, status="ok")
         else:
             entry.update(status="skipped", reason=reason)
-        entry["time_ms"] = t_ms
+        if timing:
+            entry["time_ms"] = t_ms
         results.append(entry)
     ok = [e for e in results if e["status"] == "ok"]
-    return {
+    report = {
         "max_n": max_n,
         "max_k": max_k,
         "order": order_kind,
@@ -525,5 +530,7 @@ def conjecture_scan(
         "violations": [e for e in ok if e["gb_degree"] > 2],
         "skipped": [e for e in results if e["status"] == "skipped"],
         "results": results,
-        "total_time_ms": round((time.time() - t_start) * 1000, 1),
     }
+    if timing:
+        report["total_time_ms"] = round((time.time() - t_start) * 1000, 1)
+    return report

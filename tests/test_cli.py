@@ -1,14 +1,22 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import piercedcodes
 from piercedcodes.cli import main
 
 FIG = "[[],[1],[1,2],[2],[1,3],[1,2,3]]"
+# pierced, but not in construction labels: {{}, 1, 2, 12, 23, 123} with
+# labels 1, 2, 3 moved to 2, 3, 1
+FIG_RELABELED = "[[],[3],[2,3],[2],[1,3],[1,2,3]]"
 TWO = "[[],[1],[1,2],[2]]"
 
 
@@ -32,6 +40,24 @@ def test_analyze_report(runner):
         "lambda": [2], "sigma": [1], "tau": [],
     }
     assert "relabeling" not in rep["piercing_sequence"]
+
+
+def test_analyze_relabeled(runner):
+    res = run(runner, "analyze", "--code", FIG_RELABELED)
+    assert res.exit_code == 0
+    rep = json.loads(res.output)
+    assert rep["inductively_pierced"] and rep["shelling_verified"]
+    assert rep["piercing_sequence"]["relabeling"] == [2, 3, 1]
+    # codewords ranked in construction labels, facets in the code's labels
+    assert rep["shelling_order"] == ["---", "-+-", "-++", "--+", "+++", "+-+"]
+
+
+@pytest.mark.parametrize("mode", ["hyperplane", "ball"])
+def test_realize_relabeled(runner, mode):
+    res = run(runner, "realize", "--code", FIG_RELABELED, "--mode", mode)
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert rep["verified"] and rep["relabeling"] == [2, 3, 1]
 
 
 def test_analyze_from_file(runner, tmp_path):
@@ -196,12 +222,23 @@ def test_scan_conjecture_deterministic(runner):
     rep = json.loads(a.output)
     assert rep["violations"] == [] and rep["skipped"] == []
     assert "total_time_ms" not in rep
+    assert not any("time_ms" in e for e in rep["results"])
 
 
 def test_scan_conjecture_timing_flag(runner):
     res = run(runner, "scan-conjecture", "--max-n", "2", "--max-k", "1",
               "--timing")
-    assert "total_time_ms" in json.loads(res.output)
+    rep = json.loads(res.output)
+    assert "total_time_ms" in rep
+    assert all("time_ms" in e for e in rep["results"])
+
+
+def test_import_does_not_load_scipy():
+    # only the opt-in `realize --samples` cross-check needs scipy
+    src = str(Path(piercedcodes.__file__).resolve().parents[1])
+    probe = "import sys, piercedcodes.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_counterexample(runner):

@@ -8,11 +8,11 @@ from piercedcodes.exactlp import (
     fm_stages,
     fm_witness,
     max_slack,
-    simplex_max,
-    simplex_max_slack,
     solve_linear,
     strictly_feasible,
 )
+
+from .simplex import simplex_max, simplex_max_slack
 
 
 def test_solve_linear():

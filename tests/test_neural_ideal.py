@@ -89,12 +89,28 @@ def _cf_completeness_oracle(c):
         assert not any(r is not q and r.divides(q) for r in cf)
 
 
+def _all_words(n):
+    return [frozenset(w) for r in range(n + 1) for w in itertools.combinations(range(1, n + 1), r)]
+
+
 def test_cf_completeness_random_codes():
     rng = random.Random(11)
-    words = [frozenset(w) for r in range(4) for w in itertools.combinations(range(1, 4), r)]
+    words = _all_words(3)
     for _ in range(60):
         chosen = rng.sample(words, rng.randint(1, len(words)))
         _cf_completeness_oracle(NeuralCode(3, frozenset(chosen)))
+    # on 1..6 neurons: {∅}, single codewords, and random codes as drawn,
+    # with a neuron never on and with it always on
+    rng = random.Random(29)
+    for n in range(1, 7):
+        words = _all_words(n)
+        _cf_completeness_oracle(NeuralCode(n, frozenset({frozenset()})))
+        for _ in range(8):
+            j = rng.randint(1, n)
+            chosen = rng.sample(words, rng.randint(1, len(words)))
+            for ws in ([rng.choice(words)], chosen, [w - {j} for w in chosen],
+                       [w | {j} for w in chosen]):
+                _cf_completeness_oracle(NeuralCode(n, frozenset(ws)))
 
 
 def test_intersection_complete():

@@ -1,5 +1,6 @@
 """Piercing, sequence recovery, and enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -81,6 +82,29 @@ def test_recover_rejects_non_pierced():
     assert recover_piercing_sequence(code(2, [], [1, 2]), 2) is None
     # intersection-incomplete, so no piercing order exists
     assert recover_piercing_sequence(code(2, [1], [2]), 2) is None
+    # neuron 4 looks like a piercing of lambda = {1, 2, 3}, but 3 and 23
+    # are missing below it
+    rest = [[], [1], [2], [1, 2], [1, 3], [1, 2, 3]]
+    assert recover_piercing_sequence(code(4, *rest, *(w + [4] for w in _all_words(3))), 3) is None
+    # every code on 3 neurons: detected exactly when some relabeling of it
+    # is enumerated, and the sequence rebuilds it
+    pierced = {c.words for c, _ in enumerate_pierced_codes(3, 2) if c.n == 3}
+    perms = list(itertools.permutations(range(1, 4)))
+    words = [frozenset(w) for w in _all_words(3)]
+    for r in range(1, len(words) + 1):
+        for chosen in itertools.combinations(words, r):
+            c = NeuralCode(3, frozenset(chosen))
+            seq = recover_piercing_sequence(c, 2)
+            assert (seq is not None) == (c.words in pierced), str(c)
+            assert seq is None or replay(seq) == c
+            relabeled = {frozenset(frozenset(p[i - 1] for i in w) for w in c.words) for p in perms}
+            seq = recover_piercing_sequence(c, 2, relabel=True)
+            assert (seq is not None) == bool(relabeled & pierced), str(c)
+            assert seq is None or _relabeled_replay(seq) == c.words
+
+
+def _all_words(n):
+    return [list(w) for r in range(n + 1) for w in itertools.combinations(range(1, n + 1), r)]
 
 
 def test_recover_respects_degree_cap():
