@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import NeuralCode
+from .codes import NeuralCode, word_str
 from .piercing import BASE_CODE, PiercingSequence, first_word_outside, pierce
 
 # points classified at once by the sampling cross-check
@@ -69,7 +69,7 @@ class BallRealization:
             "radii": [float(r) for r in self.radii],
             "tolerance": self.tolerance,
             "witnesses": {
-                "".join(map(str, sorted(c))) or "{}": list(map(float, w))
+                word_str(c): list(map(float, w))
                 for c, w in sorted(self.witnesses.items(), key=lambda kv: sorted(kv[0]))
             },
         }
@@ -144,14 +144,14 @@ def build_ball_realization(
     code = BASE_CODE
 
     for step in seq:
-        step.validate_for(code.n)
+        code = pierce(code, step)
         real = BallRealization(dim, centers, radii, witnesses, tolerance)
         p = _piercing_point(real, step, rng)
         for i in sorted(step.lam):
             if abs(np.linalg.norm(p - centers[i - 1]) - radii[i - 1]) > 1e-7:
                 raise BallConstructionError("piercing point drifted off a sphere")
         r_new = _choose_radius(real, step, p)
-        new_index = code.n + 1
+        new_index = code.n
         new_witnesses = dict(witnesses)
         new_witnesses.update(
             _new_atom_witnesses(real, step, p, r_new, new_index)
@@ -164,7 +164,6 @@ def build_ball_realization(
         centers = centers + [p]
         radii = radii + [r_new]
         witnesses = new_witnesses
-        code = pierce(code, step)
         # re-certify everything at this level before continuing
         level = BallRealization(dim, centers, radii, witnesses, tolerance)
         for c in code.words:

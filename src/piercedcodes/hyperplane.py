@@ -16,78 +16,53 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .codes import NeuralCode
-from .exactlp import _dot, _norm1, max_slack, solve_linear, strictly_feasible
+from .codes import NeuralCode, word_str
+from .exactlp import _dot, _norm1, max_slack, strictly_feasible
 from .piercing import BASE_CODE, PiercingSequence, first_word_outside, pierce
 
 F = Fraction
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """a . x >= b (orientation +1) or a . x <= b (orientation -1); the
-    "on" side of the neuron is the oriented side."""
-
-    normal: tuple
-    offset: Fraction
-    orientation: int = 1
-
-    def __post_init__(self):
-        if all(x == 0 for x in self.normal):
-            raise ValueError("halfspace normal must be nonzero")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +-1")
-
-    def on_row(self):
-        """Row (a, b) with a.x < b meaning strictly on the on-side."""
-        s = self.orientation
-        return tuple(-s * x for x in self.normal), -s * self.offset
-
-    def off_row(self):
-        s = self.orientation
-        return tuple(s * x for x in self.normal), s * self.offset
-
-    def value(self, x) -> Fraction:
-        return sum(a * xi for a, xi in zip(self.normal, x)) - self.offset
-
-    def extended(self) -> "Halfspace":
-        return Halfspace(self.normal + (F(0),), self.offset, self.orientation)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "normal": [str(a) for a in self.normal],
-            "offset": str(self.offset),
-            "orientation": ">=" if self.orientation == 1 else "<=",
-        }
-
-
 @dataclass
 class HyperplaneRealization:
-    dim: int
-    halfspaces: list
+    """Halfspace i is x_i >= heights[i-1], on where it holds; the bounding
+    simplex is spanned by ``bound_vertices`` in R^dim, dim = len(heights)."""
+
+    heights: list
     bound_vertices: list
     witnesses: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
 
+    @property
+    def dim(self) -> int:
+        return len(self.heights)
+
     @cached_property
     def bound_rows(self) -> list:
         """Strict rows (a, b), a.x < b, describing the open bounding simplex;
-        solved once per realization."""
+        computed once per realization."""
         return bound_inequalities(self.bound_vertices)
 
     def sign_rows(self, codeword: frozenset):
-        rows = list(self.bound_rows)
-        for i, hs in enumerate(self.halfspaces, 1):
-            rows.append(hs.on_row() if i in codeword else hs.off_row())
-        return rows
+        return list(self.bound_rows) + [
+            _row(i, h, self.dim, i in codeword) for i, h in enumerate(self.heights, 1)
+        ]
 
     def to_json_dict(self) -> dict:
+        n = self.dim
         return {
-            "dim": self.dim,
-            "halfspaces": [h.to_json_dict() for h in self.halfspaces],
+            "dim": n,
+            "halfspaces": [
+                {
+                    "normal": ["1" if k == i else "0" for k in range(n)],
+                    "offset": str(h),
+                    "orientation": ">=",
+                }
+                for i, h in enumerate(self.heights)
+            ],
             "bound_vertices": [[str(x) for x in v] for v in self.bound_vertices],
             "witnesses": {
-                "".join(map(str, sorted(c))) or "{}": [str(x) for x in p]
+                word_str(c): [str(x) for x in p]
                 for c, p in sorted(self.witnesses.items(), key=lambda kv: sorted(kv[0]))
             },
             "trace": [
@@ -103,27 +78,42 @@ class HyperplaneRealization:
         }
 
 
+def _row(i: int, h: Fraction, dim: int, on: bool):
+    """Row (a, b), a.x < b, strictly on (x_i > h) or strictly off (x_i < h)
+    halfspace i in R^dim."""
+    s = F(-1) if on else F(1)
+    return tuple(s if k == i - 1 else F(0) for k in range(dim)), s * h
+
+
 def bound_inequalities(vertices):
-    """Facet rows (a, b), a.x < b, of the simplex spanned by ``vertices``."""
+    """Facet rows (a, b), a.x < b, of the simplex spanned by ``vertices``;
+    row k is the facet opposite vertex k.
+
+    The vertices must have the construction's shape: vertices 0 and 1
+    are distinct points of the x_1-axis and vertex j >= 2 is an apex
+    (p', 1) in coordinates 1..j, zero beyond.  The level-j simplex is
+    then the cone over the level-(j-1) one, so each facet row a.y < b
+    lifts to a.y + (b - a.p') x_j < b through the apex, and the base
+    x_j > 0 is the facet opposite the apex.
+    """
     dim = len(vertices[0])
-    if len(vertices) != dim + 1:
-        raise ValueError("bound must be a simplex: dim+1 vertices")
-    rows = []
-    for k in range(len(vertices)):
-        others = [v for i, v in enumerate(vertices) if i != k]
-        system = [tuple(v) + (F(-1),) for v in others]
-        sol = solve_linear(system, [F(0)] * len(others))
-        if sol is None or len(sol[1]) != 1:
-            raise ValueError("bound vertices are not affinely independent")
-        ab = sol[1][0]
-        a, b = ab[:dim], ab[dim]
-        value = sum(ai * xi for ai, xi in zip(a, vertices[k])) - b
-        if value == 0:
-            raise ValueError("bound vertices are not affinely independent")
-        if value > 0:
-            a, b = tuple(-x for x in a), -b
-        # interior side of this facet: a.x < b with vertex k satisfying it
-        rows.append((a, b))
+    if len(vertices) != dim + 1 or any(len(v) != dim for v in vertices):
+        raise ValueError("bound must be a simplex: dim+1 vertices in R^dim")
+    for j, v in enumerate(vertices):
+        if any(v[max(1, j):]):
+            raise ValueError(f"vertex {j} is not zero beyond coordinate {max(1, j)}")
+    v0, v1 = vertices[0][0], vertices[1][0]
+    if v0 == v1:
+        raise ValueError("vertices 0 and 1 coincide")
+    s = F(1) if v0 < v1 else F(-1)
+    rows = [((s,), s * v1), ((-s,), -s * v0)]
+    for j in range(2, dim + 1):
+        apex = vertices[j]
+        if apex[j - 1] != 1:
+            raise ValueError(f"vertex {j} is not an apex (p', 1)")
+        p = apex[: j - 1]
+        rows = [(a + (b - _dot(a, p),), b) for a, b in rows]
+        rows.append(((F(0),) * (j - 1) + (F(-1),), F(0)))
     return rows
 
 
@@ -154,26 +144,22 @@ def build_hyperplane_realization(
     additional powers of two; used to spot-check that nondegeneracy
     margins shrink with it.
     """
-    halfspaces = [Halfspace((F(1),), F(1), 1)]
+    heights = [F(1)]
     vertices = [(F(0),), (F(2),)]
     code = BASE_CODE
     trace = []
     for step in seq:
-        step.validate_for(code.n)
-        eqs = []
+        code = pierce(code, step)
+        dim = len(heights)
         facets = bound_inequalities(vertices)
+        eqs = [_row(i, heights[i - 1], dim, False) for i in sorted(step.lam)]
         strict = list(facets)
-        for i in sorted(step.lam):
-            hs = halfspaces[i - 1]
-            eqs.append((hs.normal, hs.offset))
-        for i in sorted(step.sigma):
-            strict.append(halfspaces[i - 1].on_row())
-        for i in sorted(step.tau):
-            strict.append(halfspaces[i - 1].off_row())
+        strict += [_row(i, heights[i - 1], dim, True) for i in sorted(step.sigma)]
+        strict += [_row(i, heights[i - 1], dim, False) for i in sorted(step.tau)]
         margin, p = max_slack(strict, eq_rows=eqs)
         if margin is None or margin <= 0:
             raise RuntimeError(
-                f"no piercing point exists for step {step}; invalid sequence"
+                f"internal error: no piercing point for step {step}"
             )
         # box half-width rho: points within it keep every strict constraint
         rho = min((b - sum(a * x for a, x in zip(row, p))) / _norm1(row)
@@ -184,28 +170,16 @@ def build_hyperplane_realization(
         a_scale = _largest_power_scale(rho / (2 * spread))
         a_scale /= 2**extra_scale_halvings
 
-        p_prime = _perturb(p, facets, halfspaces, a_scale, rho)
-
-        dim = len(p) + 1
-        new_vertices = [v + (F(0),) for v in vertices]
+        p_prime = _perturb(p, facets, heights, a_scale, rho)
         p_tilde = p_prime + (F(1),)
-        new_vertices.append(p_tilde)
+        vertices = [v + (F(0),) for v in vertices] + [p_tilde]
         height = 1 - a_scale
-        new_halfspaces = [hs.extended() for hs in halfspaces]
-        normal = tuple(F(0) for _ in range(dim - 1)) + (F(1),)
-        new_halfspaces.append(Halfspace(normal, height, 1))
+        heights.append(height)
         trace.append(
             {"p": p, "p_prime": p_prime, "p_tilde": p_tilde, "a": a_scale, "height": height}
         )
-        halfspaces, vertices = new_halfspaces, new_vertices
-        code = pierce(code, step)
 
-    realization = HyperplaneRealization(
-        dim=code.n,
-        halfspaces=halfspaces,
-        bound_vertices=vertices,
-        trace=trace,
-    )
+    realization = HyperplaneRealization(heights, vertices, trace=trace)
     for c in code.sorted_words():
         m, w = max_slack(realization.sign_rows(c))
         if m is None or m <= 0:
@@ -214,7 +188,7 @@ def build_hyperplane_realization(
     return realization
 
 
-def _perturb(p, facets, halfspaces, a_scale, rho):
+def _perturb(p, facets, heights, a_scale, rho):
     """Choose p' near p, off every hyperplane, with p interior to the
     simplex dilated by a_scale about p'.
 
@@ -229,7 +203,7 @@ def _perturb(p, facets, halfspaces, a_scale, rho):
             scale = max(abs(x) for x in v)
             vv = tuple(x / scale for x in v)
             cand = tuple(px + delta * vx for px, vx in zip(p, vv))
-            if any(hs.value(cand) == 0 for hs in halfspaces):
+            if any(x == h for x, h in zip(cand, heights)):
                 continue
             if all(
                 _dot(a, p) < a_scale * b + (1 - a_scale) * _dot(a, cand)
@@ -245,7 +219,7 @@ def realized_code(r: HyperplaneRealization) -> NeuralCode:
     2^n exact LPs: an independent oracle for the verifier, which does
     not call it.
     """
-    n = len(r.halfspaces)
+    n = r.dim
     words = set()
     for mask in range(2**n):
         c = frozenset(i + 1 for i in range(n) if mask >> i & 1)
@@ -254,50 +228,26 @@ def realized_code(r: HyperplaneRealization) -> NeuralCode:
     return NeuralCode(n, frozenset(words))
 
 
-def _barycentric(vertices, point) -> list:
-    """Barycentric coordinates of ``point`` (length d) in the level-d
-    simplex spanned by vertices 0..d, read off by back-substitution:
-    vertex j >= 2 has a 1 in coordinate j and zeros after it."""
-    d = len(point)
-    rest = list(point)
-    lam = [F(0)] * (d + 1)
-    for j in range(d, 1, -1):
-        lam[j] = rest[j - 1]
-        rest = [x - lam[j] * v for x, v in zip(rest, vertices[j])]
-    (a,), (b,) = vertices[0][:1], vertices[1][:1]
-    total = 1 - sum(lam[2:])
-    lam[1] = (rest[0] - total * a) / (b - a)
-    lam[0] = total - lam[1]
-    return lam
-
-
 def _structure_fault(r: HyperplaneRealization) -> Optional[str]:
     """Why ``r`` lacks the shape the inductive bound relies on, or None.
 
-    The shape is the builder's: halfspace i and vertex j vanish beyond
-    coordinates i and max(1, j), vertices 0 and 1 differ, and for
-    m >= 2 halfspace m is x_m >= 1 - a with 0 < a < 1 and vertex m is an
-    apex (p', 1) with p' in the closed level-(m-1) simplex.
+    The shape is the builder's: ``bound_inequalities`` accepts the n+1
+    vertices, and for m >= 2 height m is 1 - a with 0 < a < 1 and apex m
+    has p' in the closed level-(m-1) simplex.
     """
-    n, hss, vs = len(r.halfspaces), r.halfspaces, r.bound_vertices
-    if r.dim != n or len(vs) != n + 1 or any(len(x) != n for x in vs) or any(
-        len(hs.normal) != n for hs in hss
-    ):
-        return "not n halfspaces and n+1 vertices in R^n"
-    for i, hs in enumerate(hss, 1):
-        if any(hs.normal[i:]):
-            return f"halfspace {i} is not zero beyond coordinate {i}"
-    for j, v in enumerate(vs):
-        if any(v[max(1, j):]):
-            return f"vertex {j} is not zero beyond coordinate {max(1, j)}"
-    if vs[0][0] == vs[1][0]:
-        return "vertices 0 and 1 coincide"
+    n = r.dim
+    if len(r.bound_vertices) != n + 1:
+        return "not n+1 vertices for n heights"
+    try:
+        rows = r.bound_rows
+    except ValueError as exc:
+        return str(exc)
     for m in range(2, n + 1):
-        hs = hss[m - 1]
-        e_m = tuple(F(int(k == m - 1)) for k in range(n))
-        if hs.orientation != 1 or hs.normal != e_m or not 0 < hs.offset < 1:
-            return f"halfspace {m} is not x_{m} >= 1 - a with 0 < a < 1"
-        if vs[m][m - 1] != 1 or min(_barycentric(vs, vs[m][: m - 1])) < 0:
+        if not 0 < r.heights[m - 1] < 1:
+            return f"height {m} is not 1 - a with 0 < a < 1"
+        # lifting through vertex m gave row k < m the x_m coefficient
+        # b - a.p', where a.y < b is facet k of the level-(m-1) simplex
+        if any(a[m - 1] < 0 for a, _ in rows[:m]):
             return f"vertex {m} is not an apex (p', 1) over the level-{m - 1} simplex"
     return None
 
@@ -314,16 +264,16 @@ def _tips(r: HyperplaneRealization):
     bound.  Level 1 has the tip {1} with nothing below it.
     """
     yield 1, frozenset(), frozenset()
-    for m in range(2, len(r.halfspaces) + 1):
-        a = 1 - r.halfspaces[m - 1].offset
+    for m in range(2, r.dim + 1):
+        a = 1 - r.heights[m - 1]
         p = r.bound_vertices[m][: m - 1]
         corners = [
             tuple(pk + a * (vk - pk) for pk, vk in zip(p, v))
             for v in r.bound_vertices[:m]
         ]
         sigma, lam = set(), set()
-        for i, hs in enumerate(r.halfspaces[: m - 1], 1):
-            on = [hs.orientation * hs.value(x) for x in corners]
+        for i, h in enumerate(r.heights[: m - 1], 1):
+            on = [x[i - 1] - h for x in corners]
             if all(v > 0 for v in on):
                 sigma.add(i)
             elif not all(v < 0 for v in on):
@@ -344,8 +294,7 @@ def verify_hyperplane_realization(r: HyperplaneRealization, expected: NeuralCode
     holds witnessed codewords outside the code or the first pattern the
     bound cannot exclude, and ``missing`` the codewords with no witness.
     """
-    n = len(r.halfspaces)
-    if expected.n != n:
+    if expected.n != r.dim:
         return False, {"reason": "halfspace count differs from neuron count"}
     fault = _structure_fault(r)
     if fault is not None:
@@ -392,27 +341,13 @@ def arrangement_svg(r: HyperplaneRealization, size: int = 400) -> str:
     ]
     poly = " ".join(pt(v[0], v[1]) for v in r.bound_vertices)
     parts.append(f'<polygon points="{poly}" fill="none" stroke="black"/>')
-    for hs in r.halfspaces:
-        a1, a2 = (float(x) for x in hs.normal)
-        b = float(hs.offset)
-        ends = []
-        for x in (lo_x, hi_x):
-            if a2 != 0:
-                ends.append((x, (b - a1 * x) / a2))
-        for y in (lo_y, hi_y):
-            if a1 != 0:
-                ends.append(((b - a2 * y) / a1, y))
-        ends = [
-            (x, y) for x, y in ends
-            if lo_x - 1e-9 <= x <= hi_x + 1e-9 and lo_y - 1e-9 <= y <= hi_y + 1e-9
-        ]
-        if len(ends) >= 2:
-            (x1, y1), (x2, y2) = ends[0], ends[-1]
-            parts.append(
-                f'<line x1="{pt(x1, y1).split(",")[0]}" y1="{pt(x1, y1).split(",")[1]}" '
-                f'x2="{pt(x2, y2).split(",")[0]}" y2="{pt(x2, y2).split(",")[1]}" '
-                'stroke="steelblue"/>'
-            )
+    # halfspace 1 is x >= h1, halfspace 2 is y >= h2
+    h1, h2 = (float(h) for h in r.heights)
+    for (x1, y1), (x2, y2) in (((h1, lo_y), (h1, hi_y)), ((lo_x, h2), (hi_x, h2))):
+        (sx1, sy1), (sx2, sy2) = pt(x1, y1).split(","), pt(x2, y2).split(",")
+        parts.append(
+            f'<line x1="{sx1}" y1="{sy1}" x2="{sx2}" y2="{sy2}" stroke="steelblue"/>'
+        )
     for c, w in sorted(r.witnesses.items(), key=lambda kv: sorted(kv[0])):
         x, y = pt(w[0], w[1]).split(",")
         label = "".join(map(str, sorted(c))) or "0"

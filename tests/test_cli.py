@@ -19,6 +19,92 @@ FIG = "[[],[1],[1,2],[2],[1,3],[1,2,3]]"
 FIG_RELABELED = "[[],[3],[2,3],[2],[1,3],[1,2,3]]"
 TWO = "[[],[1],[1,2],[2]]"
 
+# `realize --mode hyperplane --code TWO`, byte for byte: reports are
+# byte-stable, and every exact value in them is pinned here.
+TWO_HYPERPLANE_REPORT = """\
+{
+  "code": "{{},1,12,2}",
+  "dim": 2,
+  "discrepancy": null,
+  "margin": "15/544",
+  "mode": "hyperplane",
+  "realization": {
+    "bound_vertices": [
+      [
+        "0",
+        "0"
+      ],
+      [
+        "2",
+        "0"
+      ],
+      [
+        "9/8",
+        "1"
+      ]
+    ],
+    "dim": 2,
+    "halfspaces": [
+      {
+        "normal": [
+          "1",
+          "0"
+        ],
+        "offset": "1",
+        "orientation": ">="
+      },
+      {
+        "normal": [
+          "0",
+          "1"
+        ],
+        "offset": "3/4",
+        "orientation": ">="
+      }
+    ],
+    "trace": [
+      {
+        "a": "1/4",
+        "height": "3/4",
+        "p": [
+          "1"
+        ],
+        "p_prime": [
+          "9/8"
+        ],
+        "p_tilde": [
+          "9/8",
+          "1"
+        ]
+      }
+    ],
+    "witnesses": {
+      "1": [
+        "2453/1920",
+        "3/8"
+      ],
+      "12": [
+        "427/384",
+        "41/48"
+      ],
+      "2": [
+        "4187/4352",
+        "983/1224"
+      ],
+      "{}": [
+        "103/136",
+        "52/153"
+      ]
+    }
+  },
+  "verified": true
+}
+"""
+TWO_SVG_LINES = [
+    '<line x1="200.00" y1="400.00" x2="200.00" y2="160.00" stroke="steelblue"/>',
+    '<line x1="0.00" y1="240.00" x2="400.00" y2="240.00" stroke="steelblue"/>',
+]
+
 
 @pytest.fixture()
 def runner():
@@ -167,9 +253,10 @@ def test_realize_hyperplane(runner, tmp_path):
     res = run(runner, "realize", "--code", TWO, "--mode", "hyperplane",
               "--svg", str(svg))
     assert res.exit_code == 0
-    rep = json.loads(res.output)
-    assert rep["verified"] and rep["dim"] == 2
-    assert svg.read_text().startswith("<svg")
+    assert res.output == TWO_HYPERPLANE_REPORT
+    picture = svg.read_text()
+    assert picture.startswith("<svg")
+    assert [x for x in picture.splitlines() if x.startswith("<line")] == TWO_SVG_LINES
 
 
 def test_realize_ball(runner):

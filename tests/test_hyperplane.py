@@ -7,10 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from piercedcodes.balls import build_ball_realization
 from piercedcodes.codes import code
-from piercedcodes.exactlp import max_slack
+from piercedcodes.exactlp import max_slack, solve_linear
 from piercedcodes.hyperplane import (
-    Halfspace,
     arrangement_svg,
     bound_inequalities,
     build_hyperplane_realization,
@@ -32,14 +32,28 @@ def seq_for(c, max_k=3):
     return s
 
 
-def test_halfspace_rows():
-    hs = Halfspace((F(1), F(0)), F(1), 1)
-    a, b = hs.on_row()
-    assert a == (F(-1), F(0)) and b == F(-1)
-    a, b = hs.off_row()
-    assert a == (F(1), F(0)) and b == F(1)
-    with pytest.raises(ValueError):
-        Halfspace((F(0),), F(0))
+def _solved_facets(vertices):
+    """Facet rows (a, b), a.x < b, of any simplex, row k opposite vertex
+    k: one linear solve per facet, the oracle for the lifted rows."""
+    dim = len(vertices[0])
+    rows = []
+    for k in range(len(vertices)):
+        others = [v for i, v in enumerate(vertices) if i != k]
+        _, null = solve_linear([tuple(v) + (F(-1),) for v in others], [F(0)] * dim)
+        assert len(null) == 1, "vertices are not affinely independent"
+        a, b = null[0][:dim], null[0][dim]
+        value = sum(ai * xi for ai, xi in zip(a, vertices[k])) - b
+        assert value != 0
+        if value > 0:
+            a, b = tuple(-x for x in a), -b
+        rows.append((a, b))
+    return rows
+
+
+def _positive_multiple(row, of):
+    (a, b), (a0, b0) = row, of
+    scale = sum(map(abs, a)) / sum(map(abs, a0))
+    return scale > 0 and a == tuple(scale * x for x in a0) and b == scale * b0
 
 
 def test_bound_inequalities_triangle():
@@ -48,13 +62,39 @@ def test_bound_inequalities_triangle():
     centroid = (F(1, 3), F(1, 3))
     for a, b in rows:
         assert sum(x * y for x, y in zip(a, centroid)) < b
-    with pytest.raises(ValueError):
-        bound_inequalities([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))])
+    bad = [
+        [(F(0), F(0)), (F(1), F(0)), (F(2), F(0))],   # degenerate
+        [(F(0), F(0)), (F(1), F(0)), (F(0), F(2))],   # apex not at height 1
+        [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))],   # vertex 1 off the x_1-axis
+        [(F(1), F(0)), (F(1), F(0)), (F(0), F(1))],   # vertices 0 and 1 coincide
+    ]
+    for vertices in bad:
+        with pytest.raises(ValueError):
+            bound_inequalities(vertices)
+
+
+@pytest.fixture(scope="module")
+def built(pierced_n4_k3):
+    """(code, realization) for every n <= 4 code and 20 seeded n = 5 ones."""
+    return [(c, build_hyperplane_realization(seq))
+            for c, seq in pierced_n4_k3 + seeded_pierced(5, 20, seed=8)]
+
+
+def test_lifted_facets_match_solved_facets(built):
+    # at every level of the construction, the rows lifted through the
+    # apexes are the solved facets up to a positive factor, row for row
+    for c, r in built:
+        vs = r.bound_vertices
+        for d in range(1, c.n + 1):
+            level = [v[:d] for v in vs[: d + 1]]
+            lifted, solved = bound_inequalities(level), _solved_facets(level)
+            assert len(lifted) == len(solved) == d + 1
+            assert all(map(_positive_multiple, lifted, solved)), (str(c), d)
 
 
 def test_empty_sequence_is_split_segment():
     r = build_hyperplane_realization(PiercingSequence())
-    assert r.dim == 1 and len(r.halfspaces) == 1
+    assert r.dim == 1 and r.heights == [1]
     assert len(r.bound_vertices) == 2
     ok, _ = verify_hyperplane_realization(r, code(1, [], [1]))
     assert ok
@@ -64,9 +104,8 @@ def test_one_step_cone():
     seq = PiercingSequence([PiercingStep(frozenset({1}), frozenset(), frozenset())])
     r = build_hyperplane_realization(seq)
     assert r.dim == 2 and len(r.bound_vertices) == 3
-    # the new halfspace is horizontal and cuts below the apex
-    hs = r.halfspaces[-1]
-    assert hs.normal == (F(0), F(1)) and 0 < hs.offset < 1
+    # the new halfspace x_2 >= h cuts below the apex
+    assert 0 < r.heights[-1] < 1
     apex = r.bound_vertices[-1]
     assert apex[-1] == F(1)
     ok, _ = verify_hyperplane_realization(r, code(2, [], [1], [1, 2], [2]))
@@ -82,7 +121,7 @@ def test_background_only_step_apex_in_atom():
     assert ok, disc
     # the apex p-tilde sits strictly on the on-side of halfspace 1
     apex = r.bound_vertices[-1]
-    assert r.halfspaces[0].value(apex) > 0
+    assert apex[0] > r.heights[0]
 
 
 def test_two_step_build_exact():
@@ -96,9 +135,7 @@ def test_two_step_build_exact():
 
 def test_everything_is_rational():
     r = build_hyperplane_realization(seq_for(FIG_CODE))
-    for hs in r.halfspaces:
-        assert all(isinstance(x, (F, int)) for x in hs.normal)
-        assert isinstance(hs.offset, (F, int))
+    assert all(isinstance(h, (F, int)) for h in r.heights)
     for v in r.bound_vertices:
         assert all(isinstance(x, (F, int)) for x in v)
     for w in r.witnesses.values():
@@ -120,13 +157,17 @@ def test_margin_shrinks_with_extra_halvings():
 
 
 def test_invalid_sequence_rejected():
-    # second step needs codeword 12, which the first step never created
-    bad = PiercingSequence([
-        PiercingStep(frozenset(), frozenset(), frozenset({1})),
+    # both second steps need codeword 12, which the first step never
+    # created: one through lambda, one through sigma
+    first = PiercingStep(frozenset(), frozenset(), frozenset({1}))
+    for second in (
         PiercingStep(frozenset({1, 2}), frozenset(), frozenset()),
-    ])
-    with pytest.raises((RuntimeError, ValueError)):
-        build_hyperplane_realization(bad)
+        PiercingStep(frozenset(), frozenset({1, 2}), frozenset()),
+    ):
+        bad = PiercingSequence([first, second])
+        for build in (build_hyperplane_realization, build_ball_realization):
+            with pytest.raises(ValueError, match="not .* pierceable"):
+                build(bad)
 
 
 def test_svg_export():
@@ -152,38 +193,34 @@ def test_sweep_n3(pierced_n4_k3):
         assert nondegeneracy_margin(r) > 0
 
 
-def test_verifier_agrees_with_realized_code(pierced_n4_k3):
+def test_verifier_agrees_with_realized_code(built):
     # realized_code decides all 2^n sign vectors by exact LPs; the
     # verifier solves none
-    for c, seq in pierced_n4_k3 + seeded_pierced(5, 20, seed=8):
-        r = build_hyperplane_realization(seq)
+    for c, r in built:
         ok, disc = verify_hyperplane_realization(r, c)
         assert ok, (str(c), disc)
         assert realized_code(r).words == c.words, str(c)
 
 
 def _corrupt(r, rng):
-    """A copy of ``r`` with one seeded change: a shifted offset, a moved
-    apex, or a tilted normal on the newest coordinate's halfspace."""
-    n = len(r.halfspaces)
+    """A copy of ``r`` with one seeded change: a shifted height, a moved
+    apex, or the newest coordinate's height moved out of (0, 1)."""
+    n = r.dim
     m = rng.randrange(2, n + 1)
     small = F(rng.choice((-1, 1)), 2 ** rng.randrange(1, 9))
     kind = rng.randrange(3)
+    hs = list(r.heights)
     if kind == 0:
         i = rng.randrange(n)
-        hss = list(r.halfspaces)
-        hss[i] = dataclasses.replace(hss[i], offset=hss[i].offset + small)
-        return dataclasses.replace(r, halfspaces=hss)
+        hs[i] += small
+        return dataclasses.replace(r, heights=hs)
     if kind == 1:
         vs = list(r.bound_vertices)
         k = rng.randrange(m - 1)
         vs[m] = tuple(x + small if j == k else x for j, x in enumerate(vs[m]))
         return dataclasses.replace(r, bound_vertices=vs)
-    hss = list(r.halfspaces)
-    k = rng.randrange(m - 1)
-    normal = tuple(x + small if j == k else x for j, x in enumerate(hss[m - 1].normal))
-    hss[m - 1] = dataclasses.replace(hss[m - 1], normal=normal)
-    return dataclasses.replace(r, halfspaces=hss)
+    hs[m - 1] = (1 if small > 0 else 0) + small
+    return dataclasses.replace(r, heights=hs)
 
 
 def test_verifier_sound_under_corruption(pierced_n4_k3):
