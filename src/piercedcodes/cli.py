@@ -1,8 +1,9 @@
 """Command-line front end; every subcommand emits a single JSON report.
 
-Exit codes: 0 success, 1 malformed input, 2 a checked property is
-false, 3 a resource cap was hit.  Reports are byte-identical across
-runs with the same flags; pass --timing to include wall-clock fields.
+Exit codes: 0 success, 1 malformed input or a failed ball construction,
+2 a checked property is false, 3 a resource cap was hit.  Reports are
+byte-identical across runs with the same flags; pass --timing to include
+wall-clock fields.
 """
 
 from __future__ import annotations
@@ -92,6 +93,17 @@ class _Main(click.Group):
 
     make_context = _usage_error_exits_1(click.Group.make_context)
     invoke = _usage_error_exits_1(click.Group.invoke)
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        """A failed ball construction is a one-line error with exit 1 on the
+        command line; in-process callers get the exception itself."""
+        try:
+            return super().main(*args, standalone_mode=standalone_mode, **kwargs)
+        except balls.BallConstructionError as exc:
+            if not standalone_mode:
+                raise
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(EXIT_BAD_INPUT)
 
 
 @click.group(cls=_Main)

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import piercedcodes
+from piercedcodes.balls import BallConstructionError
 from piercedcodes.cli import main
 
 FIG = "[[],[1],[1,2],[2],[1,3],[1,2,3]]"
@@ -26,7 +27,7 @@ TWO_HYPERPLANE_REPORT = """\
   "code": "{{},1,12,2}",
   "dim": 2,
   "discrepancy": null,
-  "margin": "15/544",
+  "margin": "5/112",
   "mode": "hyperplane",
   "realization": {
     "bound_vertices": [
@@ -39,7 +40,7 @@ TWO_HYPERPLANE_REPORT = """\
         "0"
       ],
       [
-        "9/8",
+        "25/24",
         "1"
       ]
     ],
@@ -70,30 +71,30 @@ TWO_HYPERPLANE_REPORT = """\
           "1"
         ],
         "p_prime": [
-          "9/8"
+          "25/24"
         ],
         "p_tilde": [
-          "9/8",
+          "25/24",
           "1"
         ]
       }
     ],
     "witnesses": {
       "1": [
-        "2453/1920",
-        "3/8"
+        "3/2",
+        "1/4"
       ],
       "12": [
-        "427/384",
-        "41/48"
+        "17/16",
+        "13/16"
       ],
       "2": [
-        "4187/4352",
-        "983/1224"
+        "15/16",
+        "13/16"
       ],
       "{}": [
-        "103/136",
-        "52/153"
+        "1/2",
+        "1/8"
       ]
     }
   },
@@ -175,6 +176,26 @@ def test_malformed_input_one_line_error(runner, args):
     assert res.exit_code == 1
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
+
+
+# a pierced code on which the ball builder, at the CLI's seed, finds no
+# admissible point on a piercing sphere (bench/ball_failures.txt)
+BALL_FAILURE = ("[[],[1],[1,2],[1,2,3],[1,2,3,4],[1,2,3,4,5],[1,2,3,5],"
+                "[2],[2,3],[2,3,4],[2,3,4,5],[2,3,5]]")
+
+
+def test_ball_construction_error_one_line(runner):
+    res = run(runner, "realize", "--mode", "ball", "--code", BALL_FAILURE)
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
+    assert "Traceback" not in res.output
+
+
+def test_ball_construction_error_raises_in_process():
+    # in-process callers (bench/run.py) tell this failure by its type
+    with pytest.raises(BallConstructionError):
+        main(["realize", "--mode", "ball", "--code", BALL_FAILURE], standalone_mode=False)
 
 
 @pytest.mark.parametrize("args", [

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from piercedcodes import hyperplane
 from piercedcodes.balls import build_ball_realization
 from piercedcodes.codes import code
 from piercedcodes.exactlp import max_slack, solve_linear
@@ -149,11 +150,29 @@ def test_verify_catches_wrong_code():
     assert not ok and disc["reason"] == "code mismatch"
 
 
-def test_margin_shrinks_with_extra_halvings():
-    seq = seq_for(code(2, [], [1], [1, 2], [2]))
-    normal = build_hyperplane_realization(seq)
-    shrunk = build_hyperplane_realization(seq, extra_scale_halvings=2)
-    assert nondegeneracy_margin(shrunk) < nondegeneracy_margin(normal)
+def test_one_lp_per_piercing_step(monkeypatch):
+    # the witnesses come from the construction: the only LP the builder
+    # solves places each step's piercing point
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return max_slack(*args, **kwargs)
+
+    monkeypatch.setattr(hyperplane, "max_slack", counted)
+    for c, seq in seeded_pierced(5, 20, seed=8):
+        calls.clear()
+        build_hyperplane_realization(seq)
+        assert len(calls) == c.n - 1, str(c)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_exact_beyond_n6(n):
+    for c, seq in seeded_pierced(n, 2, seed=n, max_k=2):
+        r = build_hyperplane_realization(seq)
+        ok, disc = verify_hyperplane_realization(r, c)
+        assert ok, (str(c), disc)
+        assert nondegeneracy_margin(r) > 0
 
 
 def test_invalid_sequence_rejected():
