@@ -1,15 +1,17 @@
 """Numeric realizations of inductively pierced codes by open balls.
 
-A k-pierced sequence is realized in dimension k+1.  Each step picks a
-point on the common boundary sphere of the pierced balls (via the
-radical-hyperplane linear system), inside the sigma-balls and outside
-the tau-balls, and drops a small new ball there.  Sphere intersections
-are generically irrational, so the builder works in floating point with
-an explicit tolerance.  Verification is exact all the same: it reads
-the float centres and radii as the rationals they are, checks every
-witness in ``Fraction`` arithmetic, and bounds the patterns the balls
-can show by the construction's own induction.  A Sobol sample of the
-bounding box is an optional, probabilistic cross-check.
+A k-pierced sequence is realized in dimension k+1 by the paper's
+induction, with nothing searched for.  Each step computes its centre on
+a circle of the pierced balls' common boundary that runs through (or
+beside) the centre of the newest ball the step pierces or lies in: the
+middle of the widest arc inside the sigma-balls and outside the
+tau-balls.  A small new ball goes there.  Sphere intersections are
+generically irrational, so the builder works in floating point.
+Verification is exact all the same: it reads the float centres and
+radii as the rationals they are, checks every witness in ``Fraction``
+arithmetic, and bounds the patterns the balls can show by the
+construction's own induction.  A Sobol sample of the bounding box is an
+optional, probabilistic cross-check.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ SAMPLE_BLOCK = 2**14
 
 
 class BallConstructionError(Exception):
-    """Could not place a piercing point or ball within tolerance."""
+    """A numeric fault of the ball construction: spheres that do not
+    meet, a point off its sphere, a witness lost."""
 
 
 @dataclass
@@ -109,105 +112,125 @@ def sphere_intersection(centers: np.ndarray, radii: np.ndarray):
     return q, float(np.sqrt(h2)), null
 
 
-def _sphere_directions(dim: int, count: int, rng) -> np.ndarray:
-    if dim == 0:
-        return np.zeros((1, 0))
-    v = rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def build_ball_realization(
-    seq: PiercingSequence,
-    dim: int | None = None,
-    tolerance: float = 1e-9,
-    seed: int = 20240,
-) -> BallRealization:
+def build_ball_realization(seq: PiercingSequence, seed: int | None = None) -> BallRealization:
     """Replay ``seq`` with open balls in R^(k+1) (k the max piercing degree).
 
-    Radii strictly decrease along the construction so a new ball can
-    never swallow an older one; each new radius is additionally bisected
-    down until every existing witness stays outside it.
+    Every centre is computed, none searched for, so ``seed`` is ignored;
+    it is accepted for callers that still pass one.  Radii strictly
+    decrease along the construction so a new ball can never swallow an
+    older one; each new radius is additionally bisected down until every
+    existing witness stays outside it.
     """
-    k = seq.degree
-    if dim is None:
-        dim = max(1, k + 1)
-    if dim < max(1, k + 1):
-        raise ValueError(f"dimension {dim} too small for a {k}-pierced sequence")
-    rng = np.random.default_rng(seed)
-
+    dim = max(1, seq.degree + 1)
     centers = [np.zeros(dim)]
     radii = [1.0]
-    witnesses = {
-        frozenset(): np.full(dim, 2.0),
-        frozenset({1}): np.zeros(dim),
-    }
+    witnesses = {frozenset(): np.full(dim, 2.0), frozenset({1}): np.zeros(dim)}
+    # lams[i - 1]: the spheres that ball i's centre lies on
+    lams = [frozenset()] + [step.lam for step in seq]
     code = BASE_CODE
 
     for step in seq:
         code = pierce(code, step)
-        real = BallRealization(dim, centers, radii, witnesses, tolerance)
-        p = _piercing_point(real, step, rng)
+        real = BallRealization(dim, centers, radii, witnesses)
+        p = _piercing_point(real, step, lams)
         for i in sorted(step.lam):
             if abs(np.linalg.norm(p - centers[i - 1]) - radii[i - 1]) > 1e-7:
                 raise BallConstructionError("piercing point drifted off a sphere")
         r_new = _choose_radius(real, step, p)
         new_index = code.n
-        new_witnesses = dict(witnesses)
-        new_witnesses.update(
-            _new_atom_witnesses(real, step, p, r_new, new_index)
-        )
+        witnesses = {**witnesses, **_new_atom_witnesses(real, step, p, r_new, new_index)}
         if not step.lam:
-            # the sigma-witness seeded the new ball's center; move it out
-            new_witnesses[step.sigma] = _rewitness_outside(
-                real, step.sigma, p, r_new, rng
-            )
+            # the sigma-witness is the new centre; every sphere is at
+            # least 2 r_new from it, so 1.5 r_new keeps its pattern
+            witnesses[step.sigma] = p + 1.5 * r_new * np.eye(dim)[0]
         centers = centers + [p]
         radii = radii + [r_new]
-        witnesses = new_witnesses
         # re-certify everything at this level before continuing
-        level = BallRealization(dim, centers, radii, witnesses, tolerance)
+        level = BallRealization(dim, centers, radii, witnesses)
         for c in code.words:
             if level.pattern_at(witnesses[c]) != c:
                 raise BallConstructionError(
                     f"witness for {sorted(c)} lost after adding ball {new_index}"
                 )
-    return BallRealization(dim, centers, radii, witnesses, tolerance)
+    return BallRealization(dim, centers, radii, witnesses)
 
 
-def _piercing_point(real: BallRealization, step, rng) -> np.ndarray:
-    """Point on every lambda-sphere, inside sigma-balls, outside tau-balls."""
-    centers, radii = real.centers, real.radii
+def _directions(centers, at: np.ndarray, idx: list, signs: list) -> np.ndarray:
+    """Unit least-squares directions at ``at``, one per column of
+    ``signs``: along column j, sphere idx[t] (a sphere through ``at``) is
+    entered (signs[t][j] = -1), left (+1) or followed (0).  An all-zero
+    column, or an empty ``idx``, gives a zero direction."""
+    if not idx:
+        return np.zeros((len(at), 1))
+    normals = np.array([at - centers[i - 1] for i in idx])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    u, *_ = np.linalg.lstsq(normals, np.array(signs, dtype=float), rcond=None)
+    size = np.linalg.norm(u, axis=0)
+    return u / np.where(size > 0, size, 1.0)
 
-    def ok(x, margin):
-        for i in sorted(step.sigma):
-            if np.linalg.norm(x - centers[i - 1]) >= radii[i - 1] - margin:
-                return False
-        for j in sorted(step.tau):
-            if np.linalg.norm(x - centers[j - 1]) <= radii[j - 1] + margin:
-                return False
-        return True
 
+def _unit_across(v: np.ndarray, across: np.ndarray) -> np.ndarray:
+    """``v`` less its part along the unit (or zero) vector ``across``, to
+    length 1; the coordinate axis least along ``across`` instead when too
+    little of ``v`` is left."""
+    v = v - (v @ across) * across
+    if v @ v < 1e-12:
+        v = np.eye(len(v))[np.argmin(np.abs(across))]
+        v = v - (v @ across) * across
+    return v / np.sqrt(v @ v)
+
+
+def _piercing_point(real: BallRealization, step, lams) -> np.ndarray:
+    """Point on every lambda-sphere, inside sigma-balls, outside tau-balls.
+
+    Without lambda this is the sigma-witness.  Otherwise let m be the
+    largest neuron of lambda and sigma: the codewords whose largest
+    neuron is m are sigma_m | nu | {m}, nu within lambda_m, so every
+    lambda-sphere but sphere m passes through p_m, the centre of ball m.
+    The circle used lies on the lambda-spheres' intersection, through p_m
+    when m is in sigma, else through the point on the step's side of
+    each other lambda_m-sphere (one least-squares solve against the
+    sphere normals at p_m).  A sigma/tau sphere crosses it where
+    a + A cos(t - phi) = 0; the point returned is the middle of the
+    widest arc between crossings that lies inside every sigma-ball and
+    outside every tau-ball.
+    """
     if not step.lam:
-        base = np.asarray(real.witnesses[step.sigma], dtype=float)
-        for shrink in range(40):
-            margin = 1e-3 / 2**shrink
-            if ok(base, margin):
-                return base.copy()
-        raise BallConstructionError("sigma-witness violates the background motif")
-
-    lam = sorted(step.lam)
-    q, rho, basis = sphere_intersection(
-        np.array([centers[i - 1] for i in lam]),
-        np.array([radii[i - 1] for i in lam]),
-    )
-    tangent_dim = basis.shape[1]
-    for attempt in range(200):
-        margin = 1e-3 / 2 ** (attempt // 20)
-        for u in _sphere_directions(tangent_dim, 40, rng):
-            x = q + rho * (basis @ u) if tangent_dim else q
-            if ok(x, margin):
-                return x
-    raise BallConstructionError("no admissible point found on the piercing sphere")
+        return np.array(real.witnesses[step.sigma], dtype=float)
+    centers, radii = np.array(real.centers), np.array(real.radii)
+    m = max(step.lam | step.sigma)
+    near = sorted(lams[m - 1])
+    side = [[0 if i in step.lam else -1 if i in step.sigma else 1] for i in near]
+    u = _directions(centers, centers[m - 1], near, side)[:, 0]
+    lam = [i - 1 for i in sorted(step.lam)]
+    q, rho, basis = sphere_intersection(centers[lam], radii[lam])
+    # the circle q + rho (cos t x_c + sin t x_s), through x_c at t = 0
+    if m in step.sigma:
+        start, toward = basis.T @ (centers[m - 1] - q), basis.T @ u
+    else:
+        start, toward = basis.T @ u, np.zeros(basis.shape[1])
+    start = _unit_across(start, np.zeros_like(start))
+    turn = _unit_across(toward, start)
+    x_c, x_s = basis @ start, basis @ turn
+    rest = [i - 1 for i in range(1, len(radii) + 1) if i not in step.lam]
+    d = q - centers[rest]
+    a = (d**2).sum(axis=1) + rho**2 - radii[rest] ** 2
+    amp = 2 * rho * np.hypot(d @ x_c, d @ x_s)
+    phase = np.arctan2(d @ x_s, d @ x_c)
+    outward = np.array([-1.0 if i + 1 in step.sigma else 1.0 for i in rest])
+    cut = amp > np.abs(a)
+    half = np.arccos(-a[cut] / amp[cut])
+    ts = np.sort(np.concatenate([phase[cut] - half, phase[cut] + half]) % (2 * np.pi))
+    if not ts.size:
+        ts = np.zeros(1)
+    gaps = np.diff(np.append(ts, ts[0] + 2 * np.pi))
+    mids = ts + gaps / 2
+    values = a[:, None] + amp[:, None] * np.cos(mids[None, :] - phase[:, None])
+    ok = np.all(outward[:, None] * values > 0, axis=0)
+    if not ok.any():
+        raise BallConstructionError("no admissible point on the piercing circle")
+    t = mids[np.argmax(np.where(ok, gaps, -1.0))]
+    return q + rho * (np.cos(t) * x_c + np.sin(t) * x_s)
 
 
 def _choose_radius(real: BallRealization, step, p: np.ndarray) -> float:
@@ -222,11 +245,7 @@ def _choose_radius(real: BallRealization, step, p: np.ndarray) -> float:
         raise BallConstructionError("no room for the new ball")
     # bisect down until no existing witness is swallowed; when lambda is
     # empty the sigma-witness sits at p itself and gets re-placed later
-    protected = [
-        np.asarray(w)
-        for c, w in real.witnesses.items()
-        if step.lam or c != step.sigma
-    ]
+    protected = [np.asarray(w) for c, w in real.witnesses.items() if step.lam or c != step.sigma]
     for _ in range(80):
         if all(np.linalg.norm(p - w) > r * 1.5 for w in protected):
             return float(r)
@@ -234,50 +253,26 @@ def _choose_radius(real: BallRealization, step, p: np.ndarray) -> float:
     raise BallConstructionError("new ball keeps swallowing a witness")
 
 
-def _rewitness_outside(real, codeword, p, r_new, rng):
-    """A fresh point with pattern ``codeword`` just outside the new ball."""
-    for dist in (2.5, 3.0, 2.1, 4.0):
-        for u in _sphere_directions(real.dim, 60, rng):
-            cand = p + dist * r_new * u
-            if real.pattern_at(cand) == codeword and np.linalg.norm(cand - p) > r_new:
-                return cand
-    raise BallConstructionError(
-        f"could not re-witness atom {sorted(codeword)} outside the new ball"
-    )
-
-
 def _new_atom_witnesses(real, step, p, r_new, new_index):
     """Witness points inside the new ball, one per orthant pattern of
-    the lambda-spheres."""
-    centers, radii = real.centers, real.radii
+    the lambda-spheres: p + (r_new / 2^j) u, u the least-squares
+    direction into the orthant, for the first j >= 2 that shows it."""
     lam = sorted(step.lam)
+    masks = range(2 ** len(lam))
+    # column ``mask`` enters the spheres of nu and leaves the others
+    signs = [[-1 if mask >> t & 1 else 1 for mask in masks] for t in range(len(lam))]
+    units = _directions(real.centers, p, lam, signs)
     out = {}
-    if not lam:
-        out[step.sigma | {new_index}] = p.copy()
-        return out
-    normals = np.array(
-        [(p - centers[i - 1]) / np.linalg.norm(p - centers[i - 1]) for i in lam]
-    )
-    for mask in range(2 ** len(lam)):
+    for mask in masks:
         nu = frozenset(lam[t] for t in range(len(lam)) if mask >> t & 1)
         target = step.sigma | nu | {new_index}
-        placed = None
-        eps = r_new / 4
-        for _ in range(60):
-            signs = np.array([-1.0 if i in nu else 1.0 for i in lam])
-            shift, *_ = np.linalg.lstsq(normals, signs * eps, rcond=None)
-            cand = p + shift
-            if np.linalg.norm(shift) < r_new and real.pattern_at(cand) | {new_index} == target:
-                # must also be strictly inside the new ball around p
-                if np.linalg.norm(cand - p) < r_new:
-                    placed = cand
-                    break
-            eps /= 2
-        if placed is None:
-            raise BallConstructionError(
-                f"could not witness new atom {sorted(target)}"
-            )
-        out[target] = placed
+        for j in range(2, 60):
+            cand = p + r_new / 2**j * units[:, mask]
+            if real.pattern_at(cand) | {new_index} == target:
+                out[target] = cand
+                break
+        else:
+            raise BallConstructionError(f"could not witness new atom {sorted(target)}")
     return out
 
 

@@ -252,7 +252,8 @@ def nesting(sub, sup, out):
 @click.option("--samples", type=click.IntRange(min=1), default=None,
               help="ball mode: also cross-check with a Sobol sample of at least this "
                    "many points (a power of 2 is drawn); probabilistic, can only fail")
-@click.option("--seed", default=7, show_default=True)
+@click.option("--seed", default=7, show_default=True,
+              help="ball mode: seeds the --samples cross-check only")
 @click.option("--svg", "svg_path", default=None,
               help="write an SVG picture (2-D hyperplane arrangements only)")
 @click.option("--out", default=None)
@@ -285,7 +286,7 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
             with open(svg_path, "w") as fh:
                 fh.write(hyperplane.arrangement_svg(r) + "\n")
     else:
-        r = balls.build_ball_realization(seq, seed=seed)
+        r = balls.build_ball_realization(seq)
         rep = balls.verify_ball_realization(r, built, samples=samples or 0, seed=seed)
         report = {
             "code": str(c),

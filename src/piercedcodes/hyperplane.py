@@ -368,7 +368,10 @@ def nondegeneracy_margin(r: HyperplaneRealization) -> Fraction:
     """
     if not r.witnesses:
         raise ValueError("realization has no witnesses")
+    # halfspace rows are +-e_i, so only the bound rows need normalizing
+    bound = [(a, b, _norm1(a)) for a, b in r.bound_rows]
     return min(
-        (b - _dot(row, w)) / _norm1(row)
-        for c, w in r.witnesses.items() for row, b in r.sign_rows(c)
+        min(min((b - _dot(a, w)) / g for a, b, g in bound),
+            min(w[i] - h if i + 1 in c else h - w[i] for i, h in enumerate(r.heights)))
+        for c, w in r.witnesses.items()
     )

@@ -14,7 +14,11 @@ from piercedcodes.balls import (
     verify_ball_realization,
 )
 from piercedcodes.codes import code
-from piercedcodes.piercing import PiercingSequence, recover_piercing_sequence
+from piercedcodes.piercing import (
+    PiercingSequence,
+    enumerate_pierced_codes,
+    recover_piercing_sequence,
+)
 from .conftest import FIG_CODE, SORT_EXAMPLE, seeded_pierced
 
 
@@ -76,8 +80,6 @@ def test_dimension_contract():
     assert seq.degree == 0
     real = build_ball_realization(seq)
     assert real.dim == 1
-    with pytest.raises(ValueError):
-        build_ball_realization(seq_for(SORT_EXAMPLE, 2), dim=1)
 
 
 def test_reference_two_step_builds():
@@ -131,22 +133,11 @@ def test_sweep_n3_k2(pierced_n4_k2):
 
 
 def _built(cases):
-    """Realizations of the cases the builder completes; its random search
-    fails on a few n = 5 codes (``BallConstructionError``), which says
-    nothing about the verifier."""
-    out = []
-    for c, seq in cases:
-        try:
-            out.append((c, build_ball_realization(seq)))
-        except BallConstructionError:
-            pass
-    return out
+    return [(c, build_ball_realization(seq)) for c, seq in cases]
 
 
 def test_certificate_on_small_codes(pierced_n4_k3):
-    cases = _built(pierced_n4_k3 + seeded_pierced(5, 50, seed=12))
-    assert len(cases) >= len(pierced_n4_k3) + 45
-    for c, real in cases:
+    for c, real in _built(pierced_n4_k3 + seeded_pierced(5, 50, seed=12)):
         rep = verify_ball_realization(real, c)
         assert rep["ok"] and rep["upper_bound_ok"] and rep["samples"] == 0, (str(c), rep)
 
@@ -209,3 +200,13 @@ def test_bound_names_unwitnessed_pattern():
                    frozenset(): np.array([5.0, 0.0])},
     )
     assert verify_ball_realization(apart, code(2, [], [1], [2]))["ok"]
+
+
+def test_every_n5_code_builds():
+    # the construction never fails: all pierced codes on 5 neurons with
+    # k <= 3, each certified exactly
+    cases = [(c, seq) for c, seq in enumerate_pierced_codes(5, 3) if c.n == 5]
+    assert len(cases) == 4120
+    for c, real in _built(cases):
+        rep = verify_ball_realization(real, c)
+        assert rep["ok"], (str(c), rep)

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import piercedcodes
+from piercedcodes import balls
 from piercedcodes.balls import BallConstructionError
 from piercedcodes.cli import main
 
@@ -178,24 +179,38 @@ def test_malformed_input_one_line_error(runner, args):
     assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
 
 
-# a pierced code on which the ball builder, at the CLI's seed, finds no
-# admissible point on a piercing sphere (bench/ball_failures.txt)
-BALL_FAILURE = ("[[],[1],[1,2],[1,2,3],[1,2,3,4],[1,2,3,4,5],[1,2,3,5],"
-                "[2],[2,3],[2,3,4],[2,3,4,5],[2,3,5]]")
+def _failing_ball_builder(monkeypatch):
+    """Make every ball construction raise, as a numeric fault would."""
+    def fail(seq, seed=None):
+        raise BallConstructionError("spheres do not intersect transversally")
+    monkeypatch.setattr(balls, "build_ball_realization", fail)
 
 
-def test_ball_construction_error_one_line(runner):
-    res = run(runner, "realize", "--mode", "ball", "--code", BALL_FAILURE)
+def test_ball_construction_error_one_line(runner, monkeypatch):
+    _failing_ball_builder(monkeypatch)
+    res = run(runner, "realize", "--mode", "ball", "--code", FIG)
     assert res.exit_code == 1
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
     assert "Traceback" not in res.output
 
 
-def test_ball_construction_error_raises_in_process():
+def test_ball_construction_error_raises_in_process(monkeypatch):
     # in-process callers (bench/run.py) tell this failure by its type
+    _failing_ball_builder(monkeypatch)
     with pytest.raises(BallConstructionError):
-        main(["realize", "--mode", "ball", "--code", BALL_FAILURE], standalone_mode=False)
+        main(["realize", "--mode", "ball", "--code", FIG], standalone_mode=False)
+
+
+def test_realize_ball_report_stable(runner):
+    # the construction draws nothing at random, so without --samples the
+    # report does not depend on --seed
+    code = ("[[],[1],[1,2],[1,2,3],[1,2,3,4],[1,2,3,4,5],[1,2,3,5],"
+            "[2],[2,3],[2,3,4],[2,3,4,5],[2,3,5]]")
+    outputs = [run(runner, "realize", "--mode", "ball", "--code", code, *extra).output
+               for extra in ([], [], ["--seed", "7"], ["--seed", "8"])]
+    assert json.loads(outputs[0])["verified"]
+    assert len(set(outputs)) == 1
 
 
 @pytest.mark.parametrize("args", [
