@@ -113,7 +113,7 @@ def main():
 
 @main.command()
 @with_code_opts
-@click.option("--max-k", default=3, show_default=True)
+@click.option("--max-k", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--out", default=None)
 def analyze(input_path, inline, max_k, out):
     """Canonical form, complexes, shelling, and piercedness of one code."""
@@ -177,7 +177,7 @@ def pierce_cmd(input_path, inline, lam, sigma, tau, out):
 
 @main.command()
 @with_code_opts
-@click.option("--max-k", default=3, show_default=True)
+@click.option("--max-k", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--relabel", is_flag=True)
 @click.option("--out", default=None)
 def detect(input_path, inline, max_k, relabel, out):
@@ -196,8 +196,8 @@ def detect(input_path, inline, max_k, relabel, out):
 @with_code_opts
 @click.option("--order", "order_kind", type=click.Choice(["lex", "wgrevlex"]), default="lex")
 @click.option("--weights", default=None, help="JSON weight vector over the codeword ring")
-@click.option("--max-pairs", default=200_000, show_default=True)
-@click.option("--max-degree", default=60, show_default=True)
+@click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True)
+@click.option("--max-degree", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--out", default=None)
 def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out):
     """Reduced Groebner basis of the toric ideal."""
@@ -211,8 +211,8 @@ def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out
         order = toric.order_for(toric.codeword_ring(c), order_kind, w)
     except ValueError as exc:
         raise CliError(f"malformed weights: {exc}", EXIT_BAD_INPUT)
+    ideal = toric.toric_ideal(c)
     try:
-        ideal = toric.toric_ideal(c, max_pairs=max_pairs, max_degree=max_degree)
         gb = ideal.reduced_groebner_basis(order, max_pairs=max_pairs, max_degree=max_degree)
     except toric.ResourceCapExceeded as exc:
         _emit({"status": "resource_cap", "detail": str(exc)}, out)
@@ -248,7 +248,7 @@ def nesting(sub, sup, out):
 @main.command()
 @with_code_opts
 @click.option("--mode", type=click.Choice(["hyperplane", "ball"]), required=True)
-@click.option("--max-k", default=3, show_default=True)
+@click.option("--max-k", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=None,
               help="ball mode: also cross-check with a Sobol sample of at least this "
                    "many points (a power of 2 is drawn); probabilistic, can only fail")
@@ -305,12 +305,12 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
 
 
 @main.command(name="scan-conjecture")
-@click.option("--max-n", default=4, show_default=True)
-@click.option("--max-k", default=2, show_default=True)
+@click.option("--max-n", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--max-k", type=click.IntRange(min=0), default=2, show_default=True)
 @click.option("--order", "order_kind", type=click.Choice(["lex", "wgrevlex"]), default="lex")
-@click.option("--max-pairs", default=200_000, show_default=True)
-@click.option("--max-degree", default=60, show_default=True)
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True)
+@click.option("--max-degree", type=click.IntRange(min=1), default=60, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--timing", is_flag=True, help="include wall-clock fields in the report")
 @click.option("--out", default=None)
 def scan_conjecture(max_n, max_k, order_kind, max_pairs, max_degree, jobs, timing, out):

@@ -5,6 +5,7 @@ variable y_c to the product of the neuron variables x_i, i in c.  All
 ideals here are generated by pure-difference binomials, so Buchberger's
 algorithm works entirely on exponent vectors: S-polynomials and
 reductions of binomials are again binomials, with coefficients +-1.
+Each kernel basis is the x-free part of one elimination (Sturmfels 1996, Alg. 4.5).
 
 Variables are tagged ("x", i) for neuron variables and ("y", c) for
 codeword variables, c a sorted tuple of neuron indices.  A PolyRing
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -151,17 +153,17 @@ def ListedLexOrder(ring: PolyRing, listing: Iterable, ascending: bool = True) ->
 def WeightedGrevlexOrder(ring: PolyRing, weights) -> MonomialOrder:
     """Weight vector first, then total degree, then reverse lex.
 
-    ``weights`` is a per-variable vector or a callable on variables.
-    Reverse lex compares the last differing exponent in the ring's
-    variable listing, the smaller exponent winning.
+    ``weights`` is a per-variable vector or a callable on variables, of
+    finite nonnegative numbers (else no monomial order).  Reverse lex
+    compares the last differing exponent in the ring's variable listing,
+    the smaller exponent winning.
     """
     n = len(ring.variables)
-    if callable(weights):
-        w = tuple(weights(v) for v in ring.variables)
-    else:
-        w = tuple(weights)
-        if len(w) != n:
-            raise ValueError("weight vector length mismatch")
+    w = tuple(map(weights, ring.variables) if callable(weights) else weights)
+    if len(w) != n:
+        raise ValueError("weight vector length mismatch")
+    if not all(0 <= x < math.inf for x in w):
+        raise ValueError("weights must be finite and nonnegative")
     return MonomialOrder(ring, tuple(reversed(range(n))), (w, (1,) * n), reverse=True)
 
 
@@ -170,17 +172,19 @@ def two_subset_weights(v) -> int:
     return 1 if v[0] == "y" and len(v[1]) == 2 else 0
 
 
-def EliminationOrder(ring: PolyRing) -> MonomialOrder:
-    """Block order eliminating the x-variables.
+def EliminationOrder(ring: PolyRing, inner: MonomialOrder) -> MonomialOrder:
+    """Block order on ``ring``: the x-variables, then those of ``inner``'s ring.
 
-    x-parts compare by degree-then-lex; ties fall through to codeword
-    lex on the y-part.  Any monomial containing an x-variable beats
-    every x-free monomial, which is the elimination property.
+    Total x-degree compares first, so any monomial containing an x-variable
+    beats every x-free monomial (the elimination property); then come
+    ``inner``'s rows and significance, after the x-exponents.  On x-free
+    monomials the order is ``inner``.
     """
-    x_idx = tuple(i for i, v in enumerate(ring.variables) if v[0] == "x")
-    y_idx = [i for i, v in enumerate(ring.variables) if v[0] == "y"]
-    x_row = tuple(int(v[0] == "x") for v in ring.variables)
-    return MonomialOrder(ring, x_idx + _ranked(ring, y_idx, _codeword_rank), (x_row,))
+    nx = len(ring.variables) - len(inner.ring.variables)
+    x_row = (1,) * nx + (0,) * len(inner.ring.variables)
+    rows = tuple((0,) * nx + tuple(row) for row in inner.weights)
+    significance = tuple(range(nx)) + tuple(nx + i for i in inner.significance)
+    return MonomialOrder(ring, significance, (x_row,) + rows, inner.reverse)
 
 
 def order_for(ring: PolyRing, kind: str, weights=None) -> MonomialOrder:
@@ -188,7 +192,7 @@ def order_for(ring: PolyRing, kind: str, weights=None) -> MonomialOrder:
 
     wgrevlex uses ``weights`` (a per-variable vector or a callable on
     variables; ``two_subset_weights`` by default), and raises ValueError
-    on a vector of the wrong length.  Lex takes no weights.
+    on a vector of the wrong length or a bad weight.  Lex takes no weights.
     """
     if kind == "lex":
         return CodewordLexOrder(ring)
@@ -365,16 +369,37 @@ def in_kernel(b: Binomial, ring: PolyRing) -> bool:
 
 @dataclass
 class ToricIdeal:
+    """The kernel of y_c -> x^c on the codeword ring ``ring``.
+
+    Its basis under an order is the x-free part of one elimination in ``ering``.
+    """
+
     ring: PolyRing
-    generators: list
+    ering: PolyRing
     _gb_cache: dict = field(default_factory=dict)
+
+    @property
+    def generators(self) -> list:
+        """The reduced basis under codeword lex."""
+        return self.reduced_groebner_basis(CodewordLexOrder(self.ring))
 
     def reduced_groebner_basis(
         self, order: MonomialOrder, max_pairs: int = 200_000, max_degree: int = 60
     ) -> list:
+        if order.ring != self.ring:
+            raise ValueError("the order is on another ring than the ideal's")
         cached = self._gb_cache.get(order)
         if cached is None:
-            cached = buchberger(self.generators, order, max_pairs, max_degree)
+            eorder = EliminationOrder(self.ering, order)
+            graph = [oriented(self.ering.monomial({xvar(i): 1 for i in v[1]}),
+                              self.ering.monomial({v: 1}), eorder) for v in self.ring.variables]
+            nx = len(self.ering.variables) - len(self.ring.variables)
+            # an x-free lead has an x-free trail, and there the order is ``order``
+            cached = [
+                Binomial(g.lead[nx:], g.trail[nx:])
+                for g in buchberger(graph, eorder, max_pairs, max_degree)
+                if not any(g.lead[:nx])
+            ]
             self._gb_cache[order] = cached
         return cached
 
@@ -383,37 +408,11 @@ class ToricIdeal:
         return normal_form(b, gb, order) is None
 
 
-def toric_ideal(
-    code: NeuralCode, max_pairs: int = 200_000, max_degree: int = 60
-) -> ToricIdeal:
-    """Generators of ker(phi) by elimination of the neuron variables.
-
-    Forms y_c - x^c in the combined ring, runs Buchberger under an
-    elimination order with the codeword-lex inner order, and keeps the
-    x-free part; that part is itself a Groebner basis of the kernel
-    under the inner order.
-    """
+def toric_ideal(code: NeuralCode) -> ToricIdeal:
+    """The toric ideal of a code with a nonempty codeword; no basis is computed yet."""
     if not any(code.words):
         raise ValueError("code needs at least one nonempty codeword")
-    ering = elimination_ring(code)
-    yring = codeword_ring(code)
-    eorder = EliminationOrder(ering)
-    gens = [
-        oriented(ering.monomial({xvar(i): 1 for i in v[1]}), ering.monomial({v: 1}), eorder)
-        for v in yring.variables
-    ]
-    egb = buchberger(gens, eorder, max_pairs, max_degree)
-
-    nx = len(ering.variables) - len(yring.variables)
-    inner = CodewordLexOrder(yring)
-    # an x-free lead has an x-free trail: every x-monomial is larger
-    kept = [
-        oriented(g.lead[nx:], g.trail[nx:], inner) for g in egb if not any(g.lead[:nx])
-    ]
-    ideal = ToricIdeal(yring, kept)
-    # the eliminated part is already a reduced GB for the inner order
-    ideal._gb_cache[inner] = sorted(kept, key=lambda g: inner.sort_key(g.lead))
-    return ideal
+    return ToricIdeal(codeword_ring(code), elimination_ring(code))
 
 
 def gb_max_degree(ideal: ToricIdeal, order: MonomialOrder, **caps) -> int:
@@ -465,7 +464,7 @@ def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: i
     deg, reason = 0, None
     try:
         if any(code_.words):
-            ideal = toric_ideal(code_, max_pairs=max_pairs, max_degree=max_degree)
+            ideal = toric_ideal(code_)
             order = order_for(ideal.ring, order_kind)
             deg = gb_max_degree(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
     except ResourceCapExceeded as exc:

@@ -347,7 +347,7 @@ def test_criterion_10_property_suites(enum_n4_k3):
         CodewordLexOrder(yring),
         WeightedGrevlexOrder(yring, two_subset_weights),
         ListedLexOrder(yring, [frozenset(v[1]) for v in yring.variables]),
-        EliminationOrder(ering),
+        EliminationOrder(ering, CodewordLexOrder(yring)),
     ]
     ok = all(
         _order_axioms_hold(o.ring, o, rng) for o in orders

@@ -171,6 +171,14 @@ def test_malformed_input_exit_1(runner):
     ["toric-gb", "--code", TWO, "--order", "wgrevlex", "--weights", "notjson"],
     ["toric-gb", "--code", "[[]]"],
     ["analyze", "--code", "[[],[0],[1]]"],
+    # NaN compares false both ways and a negative weight puts a variable
+    # below 1: neither gives a monomial order
+    ["toric-gb", "--code", "[[],[1],[2],[1,2],[3],[1,3]]", "--order", "wgrevlex",
+     "--weights", "[NaN,0,0,0,0]"],
+    ["toric-gb", "--code", "[[],[1],[2],[1,2],[3],[1,3]]", "--order", "wgrevlex",
+     "--weights", "[-1,0,0,0,0]"],
+    ["toric-gb", "--code", "[[],[1],[2],[1,2],[3],[1,3]]", "--order", "wgrevlex",
+     "--weights", "[Infinity,0,0,0,0]"],
 ])
 def test_malformed_input_one_line_error(runner, args):
     res = run(runner, *args)
@@ -217,6 +225,14 @@ def test_realize_ball_report_stable(runner):
     ["detect", "--code", TWO, "--max-k", "abc"],
     ["realize", "--code", TWO, "--mode", "ball", "--samples", "0"],
     ["realize", "--code", TWO, "--mode", "ball", "--samples", "-5"],
+    ["scan-conjecture", "--max-n", "2", "--jobs", "0"],
+    ["scan-conjecture", "--max-n", "2", "--jobs", "-3"],
+    ["scan-conjecture", "--max-n", "0"],
+    ["scan-conjecture", "--max-k", "-1"],
+    ["scan-conjecture", "--max-n", "2", "--max-pairs", "0"],
+    ["toric-gb", "--code", TWO, "--max-degree", "-1"],
+    ["toric-gb", "--code", TWO, "--max-pairs", "0"],
+    ["detect", "--code", TWO, "--max-k", "-1"],
 ])
 def test_usage_error_exit_1(runner, args):
     res = run(runner, *args)

@@ -6,6 +6,7 @@ import random
 import pytest
 import sympy
 
+from piercedcodes import toric
 from piercedcodes.codes import code, word
 from piercedcodes.piercing import (
     PiercingSequence,
@@ -37,7 +38,7 @@ from piercedcodes.toric import (
     verify_buchberger_certificate,
     yvar,
 )
-from .conftest import CUBIC_CODE, FULL_3
+from .conftest import CUBIC_CODE, FULL_3, seeded_pierced
 
 C4 = code(2, [], [1], [2], [1, 2])
 
@@ -146,10 +147,66 @@ def test_monomial_order_axioms(make_order):
 
 def test_elimination_order_property():
     ering = elimination_ring(C4)
-    order = EliminationOrder(ering)
+    order = EliminationOrder(ering, CodewordLexOrder(codeword_ring(C4)))
     with_x = ering.monomial({("x", 1): 1})
     pure_y = ering.monomial({yvar([1]): 3, yvar([1, 2]): 2})
     assert order.greater(with_x, pure_y)
+    # on x-free monomials the elimination order is its inner order
+    yring, ering = codeword_ring(FULL_3), elimination_ring(FULL_3)
+    nx = len(ering.variables) - len(yring.variables)
+    x3 = ering.monomial({("x", 3): 1})
+    rng = random.Random(5)
+    for inner in (
+        WeightedGrevlexOrder(yring, two_subset_weights),
+        ListedLexOrder(yring, [frozenset(v[1]) for v in yring.variables], ascending=False),
+    ):
+        order = EliminationOrder(ering, inner)
+        for _ in range(500):
+            a = _random_monomial(yring, rng, 5)
+            b = _random_monomial(yring, rng, 5)
+            assert order.greater((0,) * nx + a, (0,) * nx + b) == inner.greater(a, b)
+            assert order.greater(x3, (0,) * nx + a)
+
+
+def test_one_buchberger_per_basis(monkeypatch):
+    calls = []
+    real = toric.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "buchberger", counted)
+    ideal = toric_ideal(FULL_3)
+    assert calls == []
+    ring = ideal.ring
+    listing = [frozenset(v[1]) for v in ring.variables]
+    for order in (CodewordLexOrder(ring), WeightedGrevlexOrder(ring, two_subset_weights),
+                  ListedLexOrder(ring, listing, ascending=False)):
+        gb = ideal.reduced_groebner_basis(order)
+        assert calls == [EliminationOrder(ideal.ering, order)]
+        assert ideal.reduced_groebner_basis(order) is gb
+        assert ideal.contains(gb[0], order)
+        calls.clear()
+
+
+def test_basis_order_on_another_ring_rejected():
+    with pytest.raises(ValueError):
+        toric_ideal(FULL_3).reduced_groebner_basis(CodewordLexOrder(codeword_ring(CUBIC_CODE)))
+
+
+def test_one_elimination_matches_two_step_bases(pierced_n4_k3):
+    # oracle: a second Buchberger run from the codeword-lex basis
+    codes = [c for c, _ in pierced_n4_k3] + [c for c, _ in seeded_pierced(5, 10, seed=5)]
+    for c in codes:
+        if not any(c.words):
+            continue
+        ideal = toric_ideal(c)
+        lex = ideal.generators
+        listing = [frozenset(v[1]) for v in ideal.ring.variables]
+        for order in (WeightedGrevlexOrder(ideal.ring, two_subset_weights),
+                      ListedLexOrder(ideal.ring, listing, ascending=False)):
+            assert ideal.reduced_groebner_basis(order) == buchberger(lex, order), str(c)
 
 
 def test_buchberger_certificate_and_kernel():
