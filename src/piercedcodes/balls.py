@@ -16,6 +16,7 @@ optional, probabilistic cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,10 +43,13 @@ class BallRealization:
     tolerance: float = 1e-9
 
     def pattern_at(self, x: np.ndarray) -> frozenset:
+        # math.dist on float lists: numpy's per-call overhead dominates
+        # on vectors of 2 to 4 coordinates
+        p = x.tolist()
         return frozenset(
-            i + 1
-            for i, (c, r) in enumerate(zip(self.centers, self.radii))
-            if np.linalg.norm(x - c) < r
+            i
+            for i, (c, r) in enumerate(zip(self.centers, self.radii), 1)
+            if math.dist(p, c.tolist()) < r
         )
 
     def witness_margin(self, c: frozenset, x: np.ndarray) -> float:

@@ -123,9 +123,8 @@ def analyze(input_path, inline, max_k, out):
     comps = complexes.connected_components(delta)
     vd = [complexes.is_vertex_decomposable(k)[0] for k in comps]
     seq = recover_piercing_sequence(c, max_k, relabel=True)
-    gamma = complexes.polar_complex_of(c)
     order = complexes.shelling_order(c, seq)
-    shelling_ok, witness = complexes.verify_shelling(gamma.as_complex(), order)
+    shelling_ok, witness = complexes.verify_shelling(complexes.polar_complex_of(c), order)
     report = {
         "code": str(c),
         "neurons": c.n,
@@ -140,7 +139,7 @@ def analyze(input_path, inline, max_k, out):
         "shelling_verified": shelling_ok,
         "shelling_failure": witness,
         "inductively_pierced": seq is not None,
-        "piercing_sequence": seq.to_json_dict() if seq else None,
+        "piercing_sequence": seq.to_json_dict() if seq is not None else None,
     }
     _emit(report, out)
     if not shelling_ok:
@@ -187,7 +186,7 @@ def detect(input_path, inline, max_k, relabel, out):
     report = {
         "code": str(c),
         "status": "pierced" if seq is not None else "not_pierced",
-        "sequence": seq.to_json_dict() if seq else None,
+        "sequence": seq.to_json_dict() if seq is not None else None,
     }
     _emit(report, out)
 
@@ -205,6 +204,8 @@ def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out
     if not any(c.words):
         raise CliError("malformed code input: no nonempty codeword", EXIT_BAD_INPUT)
     try:
+        if weights is not None and order_kind == "lex":
+            raise ValueError("lex order takes no weights")
         w = json.loads(weights) if weights else None
         if w is not None and not (isinstance(w, list) and all(type(x) in (int, float) for x in w)):
             raise ValueError("expected a JSON list of numbers")

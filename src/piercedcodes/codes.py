@@ -121,17 +121,6 @@ def code(n: int, *words_: Iterable[int]) -> NeuralCode:
     return NeuralCode(n, frozenset(frozenset(w) for w in words_))
 
 
-def code_from_strs(n: int, words_: Iterable[str]) -> NeuralCode:
-    """Parse digit-string codewords, e.g. ["", "1", "12"]."""
-    ws = []
-    for s in words_:
-        if s in ("", "{}"):
-            ws.append(frozenset())
-        else:
-            ws.append(frozenset(int(ch) for ch in s))
-    return NeuralCode(n, frozenset(ws))
-
-
 def sort_codewords(c: NeuralCode) -> list:
     return c.sorted_words()
 

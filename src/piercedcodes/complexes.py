@@ -39,16 +39,6 @@ class SimplicialComplex:
     def vertices(self) -> frozenset:
         return frozenset(v for f in self.facets for v in f)
 
-    @property
-    def is_void(self) -> bool:
-        return not self.facets
-
-    def dim(self) -> int:
-        """-2 for the void complex, -1 for the empty complex."""
-        if self.is_void:
-            return -2
-        return max(len(f) for f in self.facets) - 1
-
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
 
@@ -155,58 +145,28 @@ def connected_components(k: SimplicialComplex) -> list:
 
 
 def is_clique_complex(k: SimplicialComplex) -> bool:
-    """True iff every clique of the 1-skeleton is a face."""
-    verts = sorted(k.vertices, key=repr)
-    adj = {v: set() for v in verts}
+    """True iff every clique of the 1-skeleton is a face.
+
+    A minimal non-face on three or more vertices would be T ∪ {x}, with
+    T inside some facet F, x outside F and adjacent to every vertex of
+    T; and in a clique complex (F ∩ N(x)) ∪ {x} is a clique.  So the
+    complex is flag iff that set is a face for every facet F and every
+    vertex x ∉ F: |facets|·|vertices| face tests.
+    """
+    closed_nbhd: dict = {}
     for f in k.facets:
-        for a, b in itertools.combinations(sorted(f, key=repr), 2):
-            adj[a].add(b)
-            adj[b].add(a)
-
-    # grow cliques incrementally; a non-face clique ends the search
-    cliques = [frozenset({v}) for v in verts]
-    seen = set(cliques)
-    while cliques:
-        nxt = []
-        for q in cliques:
-            for v in verts:
-                if v in q or not all(v in adj[u] for u in q):
-                    continue
-                q2 = q | {v}
-                if q2 in seen:
-                    continue
-                seen.add(q2)
-                if not k.has_face(q2):
-                    return False
-                nxt.append(q2)
-        cliques = nxt
-    return True
-
-
-@dataclass(frozen=True)
-class PolarComplex:
-    """Pure (n-1)-dimensional complex with one signed facet per codeword."""
-
-    n: int
-    facets: frozenset
-
-    def __post_init__(self):
-        for f in self.facets:
-            if len(f) != self.n or any(abs(v) not in range(1, self.n + 1) for v in f):
-                raise ValueError("polar facet must pick one sign per neuron")
-            if any(-v in f for v in f):
-                raise ValueError("polar facet contains both signs of a neuron")
-
-    def as_complex(self) -> SimplicialComplex:
-        return SimplicialComplex(self.facets)
+        for v in f:
+            closed_nbhd.setdefault(v, set()).update(f)
+    return all(
+        k.has_face((f & closed_nbhd[x]) | {x})
+        for f in k.facets
+        for x in closed_nbhd
+        if x not in f
+    )
 
 
 def polar_facet(c: frozenset, n: int) -> frozenset:
     return frozenset(i if i in c else -i for i in range(1, n + 1))
-
-
-def facet_codeword(f: frozenset) -> frozenset:
-    return frozenset(v for v in f if v > 0)
 
 
 def facet_str(f: frozenset) -> str:
@@ -214,8 +174,9 @@ def facet_str(f: frozenset) -> str:
     return "".join("+" if i in f else "-" for i in range(1, len(f) + 1))
 
 
-def polar_complex_of(code: NeuralCode) -> PolarComplex:
-    return PolarComplex(code.n, frozenset(polar_facet(c, code.n) for c in code.words))
+def polar_complex_of(code: NeuralCode) -> SimplicialComplex:
+    """Pure (n-1)-dimensional complex with one signed facet per codeword."""
+    return SimplicialComplex(frozenset(polar_facet(c, code.n) for c in code.words))
 
 
 def shelling_order(code: NeuralCode, seq=None) -> list:

@@ -31,21 +31,6 @@ class PseudoMonomial:
     def degree(self) -> int:
         return len(self.on) + len(self.off)
 
-    @property
-    def type(self) -> int:
-        """1: monomial, 3: off-only, 2: mixed."""
-        if not self.off:
-            return 1
-        if not self.on:
-            return 3
-        return 2
-
-    def divides(self, other: "PseudoMonomial") -> bool:
-        return self.on <= other.on and self.off <= other.off
-
-    def evaluates_zero_on(self, c: frozenset) -> bool:
-        return not (self.on <= c and not (self.off & c))
-
     def to_json_dict(self) -> dict:
         return {"on": sorted(self.on), "off": sorted(self.off)}
 
@@ -59,10 +44,6 @@ def _sort_key(pm: PseudoMonomial):
     return (pm.degree, tuple(sorted(pm.on)), tuple(sorted(pm.off)))
 
 
-def vanishes_on(pm: PseudoMonomial, code: NeuralCode) -> bool:
-    return all(pm.evaluates_zero_on(c) for c in code.words)
-
-
 def canonical_form(code: NeuralCode) -> list:
     """The minimal non-faces of the polar complex, as pseudo-monomials.
 
@@ -72,7 +53,7 @@ def canonical_form(code: NeuralCode) -> list:
     """
     if not code.words:
         raise ValueError("code must be nonempty")
-    faces = complexes.polar_complex_of(code).as_complex().faces()
+    faces = complexes.polar_complex_of(code).faces()
     minimal = []
     for f in faces:
         for i in range(max(map(abs, f), default=0) + 1, code.n + 1):
@@ -93,7 +74,6 @@ def is_intersection_complete(code: NeuralCode) -> bool:
     """True iff the code contains all intersections of its codewords.
 
     The direct pairwise check; the tests hold it against the
-    canonical-form criterion (no element with more than one off-neuron,
-    type 1 aside).
+    canonical-form criterion (no element with more than one off-neuron).
     """
     return all(a & b in code for a, b in itertools.combinations(code.words, 2))

@@ -25,6 +25,17 @@ FULL_3 = code(3, [], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])
 CUBIC_CODE = code(3, [], [1], [2], [3], [1, 2, 3])
 
 
+def pm_divides(p, q):
+    """Pseudo-monomial p divides q: its on- and off-sets lie in q's."""
+    return p.on <= q.on and p.off <= q.off
+
+
+def pm_vanishes_on(p, c):
+    """p is zero on every codeword of c: no codeword holds all of p.on
+    and none of p.off."""
+    return not any(p.on <= w and not p.off & w for w in c.words)
+
+
 @pytest.fixture(scope="session")
 def pierced_n4_k3():
     return list(enumerate_pierced_codes(4, 3))

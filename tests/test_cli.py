@@ -128,6 +128,9 @@ def test_analyze_report(runner):
         "lambda": [2], "sigma": [1], "tau": [],
     }
     assert "relabeling" not in rep["piercing_sequence"]
+    res = run(runner, "analyze", "--code", "[[],[1]]")
+    rep = json.loads(res.output)
+    assert rep["inductively_pierced"] and rep["piercing_sequence"] == {"steps": []}
 
 
 def test_analyze_relabeled(runner):
@@ -169,6 +172,7 @@ def test_malformed_input_exit_1(runner):
     ["analyze", "--code", '{"a":1}'],
     ["toric-gb", "--code", TWO, "--order", "wgrevlex", "--weights", "[1]"],
     ["toric-gb", "--code", TWO, "--order", "wgrevlex", "--weights", "notjson"],
+    ["toric-gb", "--code", TWO, "--order", "lex", "--weights", "[1,2]"],
     ["toric-gb", "--code", "[[]]"],
     ["analyze", "--code", "[[],[0],[1]]"],
     # NaN compares false both ways and a negative weight puts a variable
@@ -266,6 +270,10 @@ def test_detect(runner):
     res = run(runner, "detect", "--code", "[[1,2]]")
     assert res.exit_code == 0
     assert json.loads(res.output)["status"] == "not_pierced"
+    # one neuron: pierced by the empty sequence
+    res = run(runner, "detect", "--code", "[[],[1]]")
+    rep = json.loads(res.output)
+    assert rep["status"] == "pierced" and rep["sequence"] == {"steps": []}
 
 
 def test_detect_relabel(runner):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from piercedcodes.codes import (
     NeuralCode,
     code,
-    code_from_strs,
     compare,
     restrict,
     sort_codewords,
@@ -88,12 +87,6 @@ def test_sorted_words_agrees_with_pairwise_compare(words):
 def test_word_str():
     assert word_str(word()) == "{}"
     assert word_str(word([3, 1])) == "13"
-
-
-def test_code_from_strs_roundtrip():
-    c = code_from_strs(3, ["", "1", "12", "123"])
-    assert c == code(3, [], [1], [1, 2], [1, 2, 3])
-    assert str(c) == "{{},1,12,123}"
 
 
 def test_json_roundtrip():

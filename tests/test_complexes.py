@@ -7,11 +7,9 @@ import pytest
 
 from piercedcodes.codes import code, word
 from piercedcodes.complexes import (
-    PolarComplex,
     SimplicialComplex,
     connected_components,
     deletion,
-    facet_codeword,
     facet_str,
     is_clique_complex,
     is_vertex_decomposable,
@@ -22,6 +20,7 @@ from piercedcodes.complexes import (
     simplicial_complex_of,
     verify_shelling,
 )
+from piercedcodes.piercing import enumerate_pierced_codes
 from .conftest import FIG_CODE, SORT_EXAMPLE
 
 
@@ -32,9 +31,9 @@ def cx(*facets):
 def test_facet_reduction_and_dim():
     k = cx([1, 2], [1], [2, 3])
     assert k.facets == frozenset({frozenset({1, 2}), frozenset({2, 3})})
-    assert k.dim() == 1
-    assert cx().dim() == -2 and cx().is_void
-    assert cx([]).dim() == -1 and not cx([]).is_void
+    # the void complex has no facet, the empty complex the facet ∅
+    assert cx().facets == frozenset()
+    assert cx([]).facets == frozenset({frozenset()})
 
 
 def test_simplicial_complex_of_code():
@@ -113,16 +112,79 @@ def test_connected_components():
     assert sorted(sorted(c.vertices) for c in comps) == [[1, 2, 3], [5], [6, 7]]
 
 
+def _clique_oracle(k):
+    """Grow every clique of the 1-skeleton, level by level; a clique
+    that is not a face ends the search."""
+    verts = sorted(k.vertices, key=repr)
+    adj = {v: set() for v in verts}
+    for f in k.facets:
+        for a, b in itertools.combinations(f, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    cliques = [frozenset({v}) for v in verts]
+    seen = set(cliques)
+    while cliques:
+        nxt = []
+        for q in cliques:
+            for v in verts:
+                if v in q or not all(v in adj[u] for u in q):
+                    continue
+                q2 = q | {v}
+                if q2 in seen:
+                    continue
+                seen.add(q2)
+                if not k.has_face(q2):
+                    return False
+                nxt.append(q2)
+        cliques = nxt
+    return True
+
+
 def test_clique_complex():
     assert is_clique_complex(cx([1, 2, 3], [3, 4]))
     # hollow triangle: the clique {1,2,3} is not a face
     assert not is_clique_complex(cx([1, 2], [2, 3], [1, 3]))
     assert is_clique_complex(cx([]))
+    assert is_clique_complex(cx())
+
+
+def test_clique_complex_against_oracle_random():
+    rng = random.Random(17)
+    not_flag = 0
+    for _ in range(2000):
+        verts = list(range(1, rng.randint(1, 7) + 1))
+        # mostly small facets, so that many complexes are not flag
+        facets = [
+            frozenset(rng.sample(verts, rng.randint(1, min(4, len(verts)))))
+            for _ in range(rng.randint(1, 8))
+        ]
+        k = SimplicialComplex(frozenset(facets))
+        flag = is_clique_complex(k)
+        assert flag == _clique_oracle(k), k
+        not_flag += not flag
+    # the sample must exercise both answers
+    assert 200 < not_flag < 1800, not_flag
+
+
+def test_clique_complex_against_oracle_pierced_n5():
+    codes = [c for c, _ in enumerate_pierced_codes(5, 3)]
+    assert len(codes) > 4000
+    for c in codes:
+        k = simplicial_complex_of(c)
+        assert is_clique_complex(k) == _clique_oracle(k), str(c)
+
+
+def test_clique_complex_large_facet():
+    """A 30-vertex facet has 2^30 cliques; the facet test reads it once."""
+    big = list(range(1, 31))
+    # a hollow triangle beside the facet, then one sharing its edge {1, 2}
+    assert not is_clique_complex(cx(big, [31, 32], [32, 33], [31, 33]))
+    assert not is_clique_complex(cx(big, [1, 31], [2, 31]))
+    assert is_clique_complex(cx(big, [1, 2, 31], [31, 32]))
 
 
 def test_polar_facets():
     assert polar_facet(word([1]), 2) == frozenset({1, -2})
-    assert facet_codeword(frozenset({1, -2, 3})) == word([1, 3])
     assert facet_str(frozenset({1, -2, 3})) == "+-+"
     k = polar_complex_of(code(2, [1], [1, 2], []))
     assert k.facets == frozenset(
@@ -136,16 +198,9 @@ def test_polar_complex_of_two_step_build():
 
 
 def test_polar_link_example():
-    gamma = polar_complex_of(SORT_EXAMPLE).as_complex()
+    gamma = polar_complex_of(SORT_EXAMPLE)
     lk = link(gamma, 3)
     assert lk.facets == frozenset({frozenset({1, 2}), frozenset({-1, 2})})
-
-
-def test_polar_validation():
-    with pytest.raises(ValueError):
-        PolarComplex(2, frozenset({frozenset({1})}))
-    with pytest.raises(ValueError):
-        PolarComplex(2, frozenset({frozenset({1, -1})}))
 
 
 def test_shelling_order_examples():
@@ -156,7 +211,7 @@ def test_shelling_order_examples():
 
 
 def test_verify_shelling_reference_order():
-    gamma = polar_complex_of(SORT_EXAMPLE).as_complex()
+    gamma = polar_complex_of(SORT_EXAMPLE)
     ok, witness = verify_shelling(gamma, shelling_order(SORT_EXAMPLE))
     assert ok and witness is None
 
@@ -199,6 +254,6 @@ def test_weight_monotone_cross_polytope_orders_shell(n):
 
 def test_shelling_sweep_small(pierced_n4_k3):
     for c, _ in pierced_n4_k3:
-        gamma = polar_complex_of(c).as_complex()
+        gamma = polar_complex_of(c)
         ok, witness = verify_shelling(gamma, shelling_order(c))
         assert ok, (str(c), witness)

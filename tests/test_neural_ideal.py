@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from piercedcodes.codes import NeuralCode, code, word
+from piercedcodes.codes import NeuralCode, code
 from piercedcodes.neural_ideal import (
     PseudoMonomial,
     canonical_form,
     cf_max_degree,
     is_intersection_complete,
-    vanishes_on,
 )
+from .conftest import pm_divides, pm_vanishes_on
 
 
 def pm(on=(), off=()):
@@ -21,24 +21,11 @@ def pm(on=(), off=()):
 
 def test_pseudo_monomial_basics():
     p = pm([1], [2, 3])
-    assert p.degree == 3 and p.type == 2
-    assert pm([1, 2]).type == 1 and pm(off=[3]).type == 3
+    assert p.degree == 3
     assert str(p) == "x1*(1-x2)*(1-x3)"
     assert str(pm()) == "1"
     with pytest.raises(ValueError):
         pm([1], [1])
-
-
-def test_divides():
-    assert pm([1]).divides(pm([1, 2], [3]))
-    assert not pm([1], [2]).divides(pm([1, 2]))
-
-
-def test_evaluation():
-    p = pm([1], [2])
-    assert not p.evaluates_zero_on(word([1]))
-    assert p.evaluates_zero_on(word([1, 2]))
-    assert p.evaluates_zero_on(word()) and p.evaluates_zero_on(word([2]))
 
 
 def test_canonical_form_two_neuron_code():
@@ -81,12 +68,11 @@ def _cf_completeness_oracle(c):
         if not on and not off:
             continue
         p = PseudoMonomial(on, off)
-        vanishes = all(p.evaluates_zero_on(w) for w in c.words)
-        covered = any(q.divides(p) for q in cf)
-        assert vanishes == covered, (str(c), str(p))
+        covered = any(pm_divides(q, p) for q in cf)
+        assert pm_vanishes_on(p, c) == covered, (str(c), str(p))
     for q in cf:
-        assert vanishes_on(q, c)
-        assert not any(r is not q and r.divides(q) for r in cf)
+        assert pm_vanishes_on(q, c)
+        assert not any(r is not q and pm_divides(r, q) for r in cf)
 
 
 def _all_words(n):
@@ -126,8 +112,8 @@ def _ic_oracle(c):
 
 def _cf_criterion(c):
     """Intersection completeness read off the canonical form: no element
-    other than a monomial has more than one off-neuron."""
-    return all(len(p.off) <= 1 for p in canonical_form(c) if p.type != 1)
+    has more than one off-neuron."""
+    return all(len(p.off) <= 1 for p in canonical_form(c))
 
 
 def test_intersection_complete_random_codes():
