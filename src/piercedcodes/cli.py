@@ -49,18 +49,34 @@ def _load_code(input_path, inline):
             raise ValueError("the code has no codewords")
         if any(0 in w for w in c.words):
             raise ValueError("neuron labels must be 1 or more")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed code input: {exc}", EXIT_BAD_INPUT)
     return c
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_BAD_INPUT)
 
 
 def _emit(report: dict, out):
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write(out, text)
     else:
-        click.echo(text)
+        # with no file, click caches a wrapper per stdout object and keeps
+        # each one alive, so in-process callers that redirect stdout leak
+        click.echo(text, file=sys.stdout)
+
+
+def _labels(text):
+    labels = json.loads(text)
+    if not (isinstance(labels, list) and all(type(i) is int for i in labels)):
+        raise ValueError("expected a JSON list of integer neuron labels")
+    return frozenset(labels)
 
 
 code_opts = [
@@ -156,13 +172,9 @@ def pierce_cmd(input_path, inline, lam, sigma, tau, out):
     """Apply one piercing step to a code."""
     c = _load_code(input_path, inline)
     try:
-        step = PiercingStep(
-            frozenset(json.loads(lam)),
-            frozenset(json.loads(sigma)),
-            frozenset(json.loads(tau)),
-        )
+        step = PiercingStep(_labels(lam), _labels(sigma), _labels(tau))
         step.validate_for(c.n)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"malformed step: {exc}", EXIT_BAD_INPUT)
     if not is_pierceable(c, step):
         _emit({"pierceable": False, "code": str(c)}, out)
@@ -284,8 +296,7 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
         if svg_path:
             if r.dim != 2:
                 raise CliError("--svg needs a 2-D arrangement", EXIT_BAD_INPUT)
-            with open(svg_path, "w") as fh:
-                fh.write(hyperplane.arrangement_svg(r) + "\n")
+            _write(svg_path, hyperplane.arrangement_svg(r))
     else:
         r = balls.build_ball_realization(seq)
         rep = balls.verify_ball_realization(r, built, samples=samples or 0, seed=seed)

@@ -103,7 +103,10 @@ class NeuralCode:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NeuralCode":
-        return cls(int(d["neurons"]), frozenset(frozenset(w) for w in d["codewords"]))
+        n = d["neurons"]
+        if type(n) is not int:
+            raise ValueError(f"neuron count {n!r} is not an integer")
+        return cls(n, frozenset(frozenset(w) for w in d["codewords"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())

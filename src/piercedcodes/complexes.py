@@ -8,7 +8,6 @@ off-vertex.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -48,15 +47,6 @@ class SimplicialComplex:
     def has_face(self, face: Iterable) -> bool:
         face = frozenset(face)
         return any(face <= f for f in self.facets)
-
-    def faces(self):
-        seen = set()
-        for f in self.facets:
-            items = sorted(f, key=repr)
-            for r in range(len(items) + 1):
-                for combo in itertools.combinations(items, r):
-                    seen.add(frozenset(combo))
-        return seen
 
     def __str__(self) -> str:
         parts = sorted(("".join(map(str, sorted(f, key=repr))) or "{}") for f in self.facets)

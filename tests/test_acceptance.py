@@ -31,7 +31,6 @@ from piercedcodes.hyperplane import (
 from piercedcodes.neural_ideal import (
     PseudoMonomial,
     canonical_form,
-    cf_max_degree,
     is_intersection_complete,
 )
 from piercedcodes.piercing import (
@@ -133,7 +132,7 @@ def test_criterion_3_combinatorial_consequences(enum_n5_k2):
     t0 = time.time()
     failures = 0
     for c, _seq in enum_n5_k2:
-        if cf_max_degree(c) > 2:
+        if any(pm.degree > 2 for pm in canonical_form(c)):
             failures += 1
             continue
         if not is_intersection_complete(c):

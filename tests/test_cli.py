@@ -1,10 +1,14 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -133,6 +137,21 @@ def test_analyze_report(runner):
     assert rep["inductively_pierced"] and rep["piercing_sequence"] == {"steps": []}
 
 
+@pytest.mark.parametrize("words, size, exit_code", [
+    # not shellable in the codeword order: a complete report, exit 2
+    ([[], [1], list(range(1, 31))], 29 ** 2, 2),
+    # 30 disjoint circles, a pierced code
+    ([[]] + [[i] for i in range(1, 31)], 30 * 29 // 2, 0),
+])
+def test_analyze_wide_sparse_code(runner, words, size, exit_code):
+    # each polar complex has more than 2^30 faces
+    res = run(runner, "analyze", "--code", json.dumps(words))
+    assert res.exit_code == exit_code
+    rep = json.loads(res.output)
+    assert len(rep["canonical_form"]) == size
+    assert rep["shelling_verified"] == (exit_code == 0)
+
+
 def test_analyze_relabeled(runner):
     res = run(runner, "analyze", "--code", FIG_RELABELED)
     assert res.exit_code == 0
@@ -166,6 +185,12 @@ def test_malformed_input_exit_1(runner):
     assert res.exit_code == 1
 
 
+MALFORMED_FILES = {
+    "neurons_float.json": {"neurons": 2.7, "codewords": [[], [1], [1, 2]]},
+    "neurons_bool.json": {"neurons": True, "codewords": [[], [1]]},
+}
+
+
 @pytest.mark.parametrize("args", [
     ["detect", "--code", "[[1.5]]"],
     ["detect", "--code", "[]"],
@@ -183,9 +208,21 @@ def test_malformed_input_exit_1(runner):
      "--weights", "[-1,0,0,0,0]"],
     ["toric-gb", "--code", "[[],[1],[2],[1,2],[3],[1,3]]", "--order", "wgrevlex",
      "--weights", "[Infinity,0,0,0,0]"],
+    # step labels must be integers, though 1.0 == True == 1
+    ["pierce", "--code", "[[],[1]]", "--lam", "[1.0]"],
+    ["pierce", "--code", "[[],[1]]", "--lam", "[true]"],
+    ["pierce", "--code", TWO, "--lam", "[1]", "--sigma", "[2.0]"],
+    # TMP is a fresh directory holding the files of MALFORMED_FILES
+    ["detect", "--input", "TMP"],
+    ["detect", "--input", "TMP/neurons_float.json"],
+    ["detect", "--input", "TMP/neurons_bool.json"],
+    ["detect", "--code", "[[],[1]]", "--out", "TMP/missing/x.json"],
+    ["realize", "--mode", "hyperplane", "--code", TWO, "--svg", "TMP/missing/x.svg"],
 ])
-def test_malformed_input_one_line_error(runner, args):
-    res = run(runner, *args)
+def test_malformed_input_one_line_error(runner, tmp_path, args):
+    for name, content in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    res = run(runner, *(a.replace("TMP", str(tmp_path)) for a in args))
     assert res.exit_code == 1
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
@@ -205,6 +242,20 @@ def test_ball_construction_error_one_line(runner, monkeypatch):
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
     assert "Traceback" not in res.output
+
+
+def test_in_process_reports_are_not_retained():
+    # bench/run.py calls main once per operation with stdout redirected
+    refs = []
+    for _ in range(3):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(["detect", "--code", TWO], standalone_mode=False)
+        assert json.loads(buf.getvalue())["status"] == "pierced"
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_ball_construction_error_raises_in_process(monkeypatch):

@@ -9,7 +9,6 @@ from piercedcodes.codes import NeuralCode, code
 from piercedcodes.neural_ideal import (
     PseudoMonomial,
     canonical_form,
-    cf_max_degree,
     is_intersection_complete,
 )
 from .conftest import pm_divides, pm_vanishes_on
@@ -37,14 +36,13 @@ def test_canonical_form_two_neuron_code():
 def test_canonical_form_full_code_is_empty():
     full = code(2, [], [1], [2], [1, 2])
     assert canonical_form(full) == []
-    assert cf_max_degree(full) == 0
 
 
 def test_canonical_form_cubic_example():
     # {(), 1, 2, 3, 123}: no two neurons fire without the third
     c = code(3, [], [1], [2], [3], [1, 2, 3])
     cf = canonical_form(c)
-    assert cf_max_degree(c) == 3
+    assert max(p.degree for p in cf) == 3
     assert {str(p) for p in cf} == {
         "x1*x2*(1-x3)",
         "x1*x3*(1-x2)",
@@ -99,6 +97,63 @@ def test_cf_completeness_random_codes():
                 _cf_completeness_oracle(NeuralCode(n, frozenset(ws)))
 
 
+def _wide_code(n):
+    """{∅, 1, 1…n}: three codewords, and (n - 1)² canonical-form elements."""
+    return code(n, [], [1], range(1, n + 1))
+
+
+def _circles_code(n):
+    """{∅, 1, …, n}: n disjoint circles, a pierced code, and n(n - 1)/2
+    canonical-form elements; a walk that extends sets in neuron order
+    visits every set of off-literals here, 2^n of them."""
+    return code(n, [], *([i] for i in range(1, n + 1)))
+
+
+def _sparse_code(n, k, seed):
+    """k distinct seeded codewords on n neurons, each neuron on with chance 1/3."""
+    rng = random.Random(seed)
+    words = set()
+    while len(words) < k:
+        words.add(frozenset(i for i in range(1, n + 1) if rng.random() < 1 / 3))
+    return NeuralCode(n, frozenset(words))
+
+
+def _assert_minimal_vanishing(cf, c):
+    """Each element vanishes on c, and dropping any one literal does not."""
+    for p in cf:
+        assert pm_vanishes_on(p, c), str(p)
+        for i in p.on:
+            assert not pm_vanishes_on(pm(p.on - {i}, p.off), c), str(p)
+        for j in p.off:
+            assert not pm_vanishes_on(pm(p.on, p.off - {j}), c), str(p)
+
+
+@pytest.mark.parametrize("n", [30, 63])
+def test_cf_wide_sparse_code(n):
+    for c, size in ((_wide_code(n), (n - 1) ** 2), (_circles_code(n), n * (n - 1) // 2)):
+        cf = canonical_form(c)
+        assert len(cf) == size
+        _assert_minimal_vanishing(cf, c)
+
+
+def test_cf_seeded_sparse_code_n20():
+    c = _sparse_code(20, 8, seed=20)
+    cf = canonical_form(c)
+    assert cf
+    _assert_minimal_vanishing(cf, c)
+
+
+def test_cf_wide_sparse_codes_against_oracles():
+    # the 3^n scan, and a 2^n sweep: every non-codeword is killed by an element
+    for n in range(2, 11):
+        for c in (_wide_code(n), _circles_code(n), _sparse_code(n, 4, seed=n)):
+            _cf_completeness_oracle(c)
+            cf = canonical_form(c)
+            for x in _all_words(n):
+                if x not in c:
+                    assert any(p.on <= x and not p.off & x for p in cf), (str(c), sorted(x))
+
+
 def test_intersection_complete():
     assert is_intersection_complete(code(2, [], [1], [1, 2]))
     assert not is_intersection_complete(code(2, [1], [2]))
@@ -127,5 +182,5 @@ def test_intersection_complete_random_codes():
 
 def test_pierced_codes_have_quadratic_cf(pierced_n4_k3):
     for c, _ in pierced_n4_k3:
-        assert cf_max_degree(c) <= 2, str(c)
+        assert all(p.degree <= 2 for p in canonical_form(c)), str(c)
         assert is_intersection_complete(c) and _cf_criterion(c), str(c)
