@@ -1,6 +1,6 @@
 """Inductively pierced neural codes: construction, certification, and realization."""
 
-from .codes import NeuralCode, code, compare, restrict, sort_codewords, word
+from .codes import NeuralCode, code, restrict, word
 from .piercing import (
     PiercingSequence,
     PiercingStep,
@@ -14,9 +14,7 @@ from .piercing import (
 __all__ = [
     "NeuralCode",
     "code",
-    "compare",
     "restrict",
-    "sort_codewords",
     "word",
     "PiercingStep",
     "PiercingSequence",

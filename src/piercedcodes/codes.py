@@ -19,8 +19,6 @@ from typing import Iterable, Iterator
 
 Codeword = frozenset
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 def word(neurons: Iterable[int] = ()) -> Codeword:
     return frozenset(neurons)
@@ -35,16 +33,6 @@ def word_key(c: Codeword) -> tuple:
     lexicographically.
     """
     return (max(c, default=0), -len(c), tuple(sorted(c)))
-
-
-def compare(c: Codeword, d: Codeword) -> int:
-    """Return -1, 0 or 1 as c comes before, equals, or comes after d."""
-    kc, kd = word_key(c), word_key(d)
-    if kc < kd:
-        return LESS
-    if kc > kd:
-        return GREATER
-    return EQUAL
 
 
 def word_str(c: Codeword) -> str:
@@ -122,10 +110,6 @@ class NeuralCode:
 def code(n: int, *words_: Iterable[int]) -> NeuralCode:
     """Convenience constructor: code(2, [], [1], [1, 2])."""
     return NeuralCode(n, frozenset(frozenset(w) for w in words_))
-
-
-def sort_codewords(c: NeuralCode) -> list:
-    return c.sorted_words()
 
 
 def restrict(c: NeuralCode, drop: int) -> NeuralCode:

@@ -168,10 +168,7 @@ def _recover_last_step(words: frozenset, neurons: frozenset, j: int, max_k: int)
     lam = frozenset.union(*s_family) - sigma
     if len(lam) > max_k:
         return None
-    others = neurons - {j}
-    tau = others - lam - sigma
-    if not (lam | sigma | tau == others and lam.isdisjoint(sigma)):
-        return None
+    tau = neurons - {j} - lam - sigma
     if s_family != {sigma | nu for nu in _subsets(lam)}:
         return None
     rest_words = words - frozenset(with_j)
@@ -184,46 +181,48 @@ def _recover_last_step(words: frozenset, neurons: frozenset, j: int, max_k: int)
 def recover_piercing_sequence(
     code: NeuralCode, max_k: int, relabel: bool = False
 ) -> Optional[PiercingSequence]:
-    """Search for a piercing sequence rebuilding ``code``; None if not pierced.
+    """Read a piercing sequence off ``code`` by deletion; None if not pierced.
 
     With relabel=False only neuron n may be the last-added neuron at
     each stage (the construction labeling convention).  With
-    relabel=True every neuron is tried as last, and the returned
-    sequence carries the relabeling witness.
+    relabel=True every neuron is tried as last, largest label first,
+    and the returned sequence carries the relabeling witness.
+
+    Each stage removes the first candidate j that ``_recover_last_step``
+    accepts, and never undoes it.  That greedy choice is safe: an
+    accepted removal leaves the deletion C∖j = {w − j : w ∈ C}, and if
+    j′ is removable from C it is still removable from C∖j, since
+    deleting j keeps the zone family of j′ of the form {σ′ ∪ ν : ν ⊆ λ′}
+    with λ′ no larger (so ``max_k`` still holds), and each of its words
+    stays a codeword.  So if any order of removals reaches the base
+    {∅, {l}}, so does one that starts with j: a failed stage means no
+    order exists, and the sequence returned is the first one that a
+    search over all removal orders, trying candidates in the same
+    order, would find.  Each of the n stages makes at most n calls of
+    cost O(|C|).
     """
     if len(code.words) == 0:
         raise ValueError("code must be nonempty")
-    # words are the code's words that avoid every label already removed,
-    # so a label set that failed once fails again: the search visits at
-    # most 2^n label sets instead of n! orders
-    failed = set()
-
-    def rec(words: frozenset, labels: tuple):
-        # words and steps keep the code's own labels; labels ascend
-        if len(labels) == 1:
-            if words == {frozenset(), frozenset(labels)}:
-                return (), labels
-            return None
-        if labels in failed:
-            return None
+    # words and steps keep the code's own labels; labels ascend, and
+    # steps and order are prepended, so they run in construction order
+    words, labels = code.words, list(code.neurons)
+    steps, order = [], []
+    while len(labels) > 1:
         neurons = frozenset(labels)
         for j in reversed(labels) if relabel else labels[-1:]:
             got = _recover_last_step(words, neurons, j, max_k)
-            if got is None:
-                continue
-            step, rest = got
-            deeper = rec(rest, tuple(l for l in labels if l != j))
-            if deeper is not None:
-                steps, order = deeper
-                return steps + (step,), order + (j,)
-        failed.add(labels)
+            if got is not None:
+                break
+        else:
+            return None
+        step, words = got
+        steps.insert(0, step)
+        order.insert(0, j)
+        labels.remove(j)
+    if len(labels) != 1 or words != {frozenset(), frozenset(labels)}:
         return None
-
-    got = rec(code.words, tuple(code.neurons))
-    if got is None:
-        return None
-    steps, order = got
     # order[i] is the label added at construction position i + 1
+    order = tuple(labels + order)
     relabeling = None if order == tuple(code.neurons) else order
     moved = PiercingSequence((), relabeling).construction_word
     steps = tuple(PiercingStep(moved(s.lam), moved(s.sigma), moved(s.tau)) for s in steps)
@@ -244,16 +243,17 @@ def _partitions(n: int, max_k: int) -> Iterator[PiercingStep]:
 def enumerate_pierced_codes(
     max_n: int, max_k: int, max_codes: int = 500_000
 ) -> Iterator[tuple]:
-    """Breadth-first closure of {{}, {1}} under piercing, deduplicated.
+    """Breadth-first closure of {{}, {1}} under piercing.
 
     Yields (code, sequence) pairs; every code is labeled by
-    construction.  Dedup is by literal codeword-set equality, so the
-    same code reached by two sequences is emitted once, with the first
-    sequence found.
+    construction and is reached exactly once.  A child's words that
+    avoid the new neuron are its parent, and those that contain it
+    force the step: sigma is their common intersection and lambda
+    their union minus sigma.  So distinct (parent, step) pairs give
+    distinct children, and no code needs to be remembered.
     """
     if max_n < 1:
         return
-    seen = {(1, BASE_CODE.words)}
     frontier = deque([(BASE_CODE, PiercingSequence())])
     yield BASE_CODE, PiercingSequence()
     count = 1
@@ -265,10 +265,6 @@ def enumerate_pierced_codes(
             if not is_pierceable(current, step):
                 continue
             nxt = pierce(current, step)
-            key = (nxt.n, nxt.words)
-            if key in seen:
-                continue
-            seen.add(key)
             count += 1
             if count > max_codes:
                 raise ResourceLimitExceeded(f"more than {max_codes} codes enumerated")

@@ -337,6 +337,22 @@ def test_detect_relabel(runner):
     assert "relabeling" in rep["sequence"]
 
 
+def test_detect_relabel_fresh_process_n40():
+    # three pairwise-overlapping circles with no triple word, beside 37
+    # disjoint ones: every singleton neuron is removable, so a search over
+    # removal orders would visit about 2^40 label sets
+    words = [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], *[[i] for i in range(4, 41)]]
+    src = str(Path(piercedcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run(
+        [sys.executable, "-m", "piercedcodes.cli", "detect", "--relabel",
+         "--code", json.dumps(words)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["status"] == "not_pierced"
+
+
 def test_toric_gb(runner):
     res = run(runner, "toric-gb", "--code", "[[],[1],[2],[1,2]]")
     assert res.exit_code == 0

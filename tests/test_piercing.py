@@ -11,13 +11,14 @@ from piercedcodes.piercing import (
     PiercingSequence,
     PiercingStep,
     ResourceLimitExceeded,
+    _recover_last_step,
     enumerate_pierced_codes,
     is_pierceable,
     pierce,
     recover_piercing_sequence,
     replay,
 )
-from .conftest import FIG_CODE, FULL_3
+from .conftest import FIG_CODE, FULL_3, seeded_pierced
 
 
 def step(lam=(), sigma=(), tau=()):
@@ -169,12 +170,135 @@ def test_relabel_replays_on_seeded_relabellings():
         assert _relabeled_replay(seq) == scrambled.words, str(scrambled)
 
 
+def _padded(core, n):
+    """A 3-neuron core beside singletons 4..n, on n neurons."""
+    return code(n, *core, *[[i] for i in range(4, n + 1)])
+
+
+NOT_PIERCED_CORES = (
+    ([], [1], [2], [3], [1, 2, 3]),
+    ([], [1], [2], [3], [1, 2], [1, 3], [2, 3]),
+    ([], [1], [2], [1, 2], [1, 3], [2, 3]),
+)
+
+
 def test_relabel_search_is_bounded():
-    # a non-pierced core padded with singletons: without remembering the
-    # label sets that failed, the relabelling search tries every order of
-    # the 9 singleton neurons
-    c = code(12, [], [1], [2], [3], [1, 2, 3], *[[i] for i in range(4, 13)])
-    assert recover_piercing_sequence(c, 3, relabel=True) is None
+    # non-pierced cores padded with singletons: every singleton neuron is
+    # removable, so a search over removal orders that backtracks visits
+    # about 2^n label sets; deletion makes at most n^2 removal attempts
+    for c in [
+        _padded(NOT_PIERCED_CORES[0], 12),
+        _padded(NOT_PIERCED_CORES[1], 19),
+        _padded(NOT_PIERCED_CORES[1], 40),
+    ]:
+        assert recover_piercing_sequence(c, 3, relabel=True) is None
+
+
+def _search_oracle(c, max_k, relabel=False):
+    """Exhaustive search over removal orders, backtracking, with a memo
+    of the label sets that failed; the contract of
+    ``recover_piercing_sequence`` on nonempty codes."""
+    failed = set()
+
+    def rec(words, labels):
+        if len(labels) == 1:
+            if words == {frozenset(), frozenset(labels)}:
+                return (), labels
+            return None
+        if labels in failed:
+            return None
+        neurons = frozenset(labels)
+        for j in reversed(labels) if relabel else labels[-1:]:
+            got = _recover_last_step(words, neurons, j, max_k)
+            if got is None:
+                continue
+            last, rest = got
+            deeper = rec(rest, tuple(l for l in labels if l != j))
+            if deeper is not None:
+                steps, order = deeper
+                return steps + (last,), order + (j,)
+        failed.add(labels)
+        return None
+
+    got = rec(c.words, tuple(c.neurons))
+    if got is None:
+        return None
+    steps, order = got
+    relabeling = None if order == tuple(c.neurons) else order
+    moved = PiercingSequence((), relabeling).construction_word
+    steps = tuple(PiercingStep(moved(s.lam), moved(s.sigma), moved(s.tau)) for s in steps)
+    return PiercingSequence(steps, relabeling)
+
+
+def _agrees_with_oracle(c, max_k, relabel):
+    return recover_piercing_sequence(c, max_k, relabel) == _search_oracle(c, max_k, relabel)
+
+
+def test_recover_matches_search_oracle_n3():
+    words = [frozenset(w) for w in _all_words(3)]
+    for r in range(1, len(words) + 1):
+        for chosen in itertools.combinations(words, r):
+            c = NeuralCode(3, frozenset(chosen))
+            for max_k in range(4):
+                for relabel in (False, True):
+                    assert _agrees_with_oracle(c, max_k, relabel), (str(c), max_k, relabel)
+
+
+def test_recover_matches_search_oracle_n4():
+    # every code on 4 neurons that contains the empty word
+    nonempty = [frozenset(w) for w in _all_words(4)][1:]
+    for mask in range(1 << len(nonempty)):
+        chosen = [w for i, w in enumerate(nonempty) if mask >> i & 1]
+        c = NeuralCode(4, frozenset([frozenset(), *chosen]))
+        assert _agrees_with_oracle(c, 3, True), str(c)
+
+
+def test_recover_matches_search_oracle_seeded_n6():
+    # relabelled pierced codes, every other one with one word toggled
+    rng = random.Random(6)
+    all_six = [frozenset(w) for w in _all_words(6)]
+    for i, (c, _) in enumerate(seeded_pierced(6, 1500, seed=6, max_k=2)):
+        words = set(c.words)
+        if i % 2:
+            words ^= {rng.choice(all_six)}
+        perm = list(c.neurons)
+        rng.shuffle(perm)
+        moved = NeuralCode(6, frozenset(frozenset(perm[l - 1] for l in w) for w in words))
+        for max_k in (1, 2):
+            assert _agrees_with_oracle(moved, max_k, True), (str(moved), max_k)
+
+
+def test_recover_matches_search_oracle_padded_cores():
+    # the relabelled non-pierced cores beside 5, 6 and 7 singletons
+    rng = random.Random(3)
+    for singletons in (5, 6, 7):
+        for core in NOT_PIERCED_CORES:
+            c = _padded(core, 3 + singletons)
+            perm = list(c.neurons)
+            rng.shuffle(perm)
+            moved = NeuralCode(c.n, frozenset(frozenset(perm[l - 1] for l in w) for w in c.words))
+            assert recover_piercing_sequence(moved, 3, relabel=True) is None
+            assert _agrees_with_oracle(moved, 3, True), str(moved)
+
+
+def test_recover_edge_cases():
+    assert recover_piercing_sequence(NeuralCode(0, frozenset({frozenset()})), 3) is None
+    assert recover_piercing_sequence(code(1, [], [1]), 0) == PiercingSequence()
+    assert recover_piercing_sequence(code(1, [1]), 3) is None
+    # neuron 2 fires in no codeword
+    assert recover_piercing_sequence(code(2, [], [1]), 3, relabel=True) is None
+    with pytest.raises(ValueError):
+        recover_piercing_sequence(NeuralCode(2), 3)
+    for c in [
+        NeuralCode(0, frozenset({frozenset()})),
+        code(1, [], [1]),
+        code(1, [1]),
+        code(2, [], [1]),
+        code(2, [], [2]),
+        code(3, [], [2], [2, 3]),
+    ]:
+        for relabel in (False, True):
+            assert _agrees_with_oracle(c, 3, relabel), str(c)
 
 
 def test_sequence_json_roundtrip():
@@ -206,6 +330,20 @@ def test_enumeration_replay_consistency(pierced_n4_k3):
 def test_enumeration_dedup(pierced_n4_k3):
     keys = [(c.n, c.words) for c, _ in pierced_n4_k3]
     assert len(set(keys)) == len(keys)
+
+
+def test_enumeration_reaches_each_code_once():
+    # a child's parent and step are read off its words, so counting
+    # (frontier code, admissible step) pairs counts distinct children
+    codes = list(enumerate_pierced_codes(5, 4))
+    pairs = 0
+    for c, _ in codes:
+        if c.n < 5:
+            for blocks in itertools.product((0, 1, 2), repeat=c.n):
+                s = step(*([i for i, b in zip(c.neurons, blocks) if b == part] for part in range(3)))
+                pairs += is_pierceable(c, s)
+    children = {(c.n, c.words) for c, _ in codes if c.n > 1}
+    assert pairs == len(children) == len(codes) - 1
 
 
 def test_enumeration_resource_cap():
