@@ -207,7 +207,8 @@ def detect(input_path, inline, max_k, relabel, out):
 @with_code_opts
 @click.option("--order", "order_kind", type=click.Choice(["lex", "wgrevlex"]), default="lex")
 @click.option("--weights", default=None, help="JSON weight vector over the codeword ring")
-@click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True)
+@click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True,
+              help="cap on the S-pairs reduced, after the coprime and Gebauer-Moeller criteria")
 @click.option("--max-degree", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--out", default=None)
 def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out):
@@ -320,7 +321,8 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
 @click.option("--max-n", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--max-k", type=click.IntRange(min=0), default=2, show_default=True)
 @click.option("--order", "order_kind", type=click.Choice(["lex", "wgrevlex"]), default="lex")
-@click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True)
+@click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True,
+              help="cap on the S-pairs reduced, after the coprime and Gebauer-Moeller criteria")
 @click.option("--max-degree", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--timing", is_flag=True, help="include wall-clock fields in the report")

@@ -7,6 +7,14 @@ algorithm works entirely on exponent vectors: S-polynomials and
 reductions of binomials are again binomials, with coefficients +-1.
 Each kernel basis is the x-free part of one elimination (Sturmfels 1996, Alg. 4.5).
 
+Each binomial carries the support bitmask of its lead, so one int test
+rules out most non-divisors in reduction and decides coprime leads.
+New pairs pass the Gebauer-Moeller criteria (Gebauer-Moeller 1988;
+Becker-Weispfenning 1993, UPDATE): criterion B drops queued pairs that a
+new element makes redundant, M and F keep one new pair per minimal lcm,
+and pairs with coprime leads are never queued.  ``max_pairs`` counts
+the pairs that survive them and are reduced.
+
 Variables are tagged ("x", i) for neuron variables and ("y", c) for
 codeword variables, c a sorted tuple of neuron indices.  A PolyRing
 fixes a tuple of variables; monomials are exponent tuples over it.
@@ -20,8 +28,9 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
-from operator import mul
+from operator import le, mul
 from typing import Iterable, Optional
 
 from .codes import NeuralCode, word_key
@@ -156,7 +165,9 @@ def WeightedGrevlexOrder(ring: PolyRing, weights) -> MonomialOrder:
     ``weights`` is a per-variable vector or a callable on variables, of
     finite nonnegative numbers (else no monomial order).  Reverse lex
     compares the last differing exponent in the ring's variable listing,
-    the smaller exponent winning.
+    the smaller exponent winning.  Integral weights are held as ints and
+    the rest as exact Fractions of their values: rounded float sums
+    would break multiplicativity.
     """
     n = len(ring.variables)
     w = tuple(map(weights, ring.variables) if callable(weights) else weights)
@@ -164,7 +175,14 @@ def WeightedGrevlexOrder(ring: PolyRing, weights) -> MonomialOrder:
         raise ValueError("weight vector length mismatch")
     if not all(0 <= x < math.inf for x in w):
         raise ValueError("weights must be finite and nonnegative")
+    w = tuple(map(_exact, w))
     return MonomialOrder(ring, tuple(reversed(range(n))), (w, (1,) * n), reverse=True)
+
+
+def _exact(x) -> int | Fraction:
+    """``x`` as an int when it is integral, else as an exact Fraction."""
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 def two_subset_weights(v) -> int:
@@ -207,10 +225,18 @@ def order_for(ring: PolyRing, kind: str, weights=None) -> MonomialOrder:
 
 @dataclass(frozen=True)
 class Binomial:
-    """lead - trail with lead strictly greater under the ambient order."""
+    """lead - trail with lead strictly greater under the ambient order.
+
+    ``mask`` is the support bitmask of the lead: bit i is set when
+    variable i occurs in it.
+    """
 
     lead: tuple
     trail: tuple
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", _support(self.lead))
 
     @property
     def degree(self) -> int:
@@ -226,22 +252,40 @@ def oriented(a: tuple, b: tuple, order: MonomialOrder) -> Optional[Binomial]:
     return Binomial(a, b) if order.greater(a, b) else Binomial(b, a)
 
 
+def _support(m: tuple) -> int:
+    s = 0
+    for i, e in enumerate(m):
+        if e:
+            s |= 1 << i
+    return s
+
+
 def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
 
 
 def _sub_add(m: tuple, sub: tuple, add: tuple) -> tuple:
-    return tuple(x - s + a for x, s, a in zip(m, sub, add))
+    return tuple([x - s + a for x, s, a in zip(m, sub, add)])
 
 
 def _reduce_monomial(m: tuple, basis: list) -> tuple:
-    """Rewrite m by lead -> trail moves until no lead divides it."""
+    """Rewrite m by lead -> trail moves until no lead divides it.
+
+    A lead whose support leaves m's support cannot divide m, so one mask
+    test against ``~support(m)`` skips it before the exponent test.
+    """
+    off = ~_support(m)
     changed = True
     while changed:
         changed = False
         for g in basis:
-            if _divides(g.lead, m):
+            if not g.mask & off and _divides(g.lead, m):
                 m = _sub_add(m, g.lead, g.trail)
+                off = ~_support(m)
                 changed = True
     return m
 
@@ -255,14 +299,10 @@ def normal_form(b: Optional[Binomial], basis: list, order: MonomialOrder) -> Opt
 
 
 def _s_binomial(f: Binomial, g: Binomial, order: MonomialOrder) -> Optional[Binomial]:
-    lcm = tuple(max(a, b) for a, b in zip(f.lead, g.lead))
+    lcm = _lcm(f.lead, g.lead)
     a = _sub_add(lcm, f.lead, f.trail)
     b = _sub_add(lcm, g.lead, g.trail)
     return oriented(a, b, order)
-
-
-def _coprime(a: tuple, b: tuple) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def buchberger(
@@ -274,62 +314,95 @@ def buchberger(
     """Reduced Groebner basis of a pure-difference binomial ideal.
 
     Deterministic: pairs are processed in normal selection order (by
-    lcm), the result is inter-reduced, tail-reduced, and sorted by the
-    order on leading monomials.
+    lcm), the result is tail-reduced and sorted by the order on leading
+    monomials.  Pairs go through the Gebauer-Moeller update (Becker-
+    Weispfenning 1993, UPDATE) as each element joins, and ``max_pairs``
+    caps the S-binomials reduced, that is the pairs that survive it.
     """
-    basis: list = []
+    basis: list = []        # every element found; pairs index into it
+    active: list = []       # indices of the elements no later lead divides
+    reducers: list = []     # basis[i] for i in active, in that order
+    live: dict = {}         # queued pair (i, j) -> (lcm, support mask of lcm)
+    heap: list = []         # (degree, order key of lcm, i, j); lazily deleted
+    processed = zero = peak = cut_coprime = cut_b = cut_mf = 0
+
+    def exceeded(cap: str) -> ResourceCapExceeded:
+        return ResourceCapExceeded(
+            f"{cap} exceeded after {processed} S-pairs processed "
+            f"(cut: {cut_coprime} coprime, {cut_b} by criterion B, "
+            f"{cut_mf} by criteria M/F), {zero} zero reductions, "
+            f"peak basis size {peak}"
+        )
+
+    def add(h: Binomial) -> None:
+        nonlocal active, reducers, peak, cut_coprime, cut_b, cut_mf
+        if h.degree > max_degree:
+            raise exceeded(f"degree cap {max_degree}")
+        k = len(basis)
+        basis.append(h)
+        hl, hm = h.lead, h.mask
+        # B: a queued pair whose lcm lead(h) divides is implied by its two
+        # pairs with h, unless one of those has the same lcm
+        for ij, (lcm, lm) in list(live.items()):
+            if not hm & ~lm and _divides(hl, lcm):
+                i, j = ij
+                if _lcm(basis[i].lead, hl) != lcm and _lcm(basis[j].lead, hl) != lcm:
+                    del live[ij]
+                    cut_b += 1
+        # M/F: of the new pairs, keep one per lcm, and only for the lcms no
+        # other new lcm divides; coprime leads give a pair that reduces to
+        # zero, and so does every pair sharing its lcm
+        new: dict = {}      # lcm -> [first i, coprime pairs, mask, pairs]
+        for i in active:
+            gm = basis[i].mask
+            lcm = _lcm(basis[i].lead, hl)
+            entry = new.setdefault(lcm, [i, 0, gm | hm, 0])
+            entry[1] += not gm & hm
+            entry[3] += 1
+        for lcm, (i, coprime, lm, pairs) in new.items():
+            if coprime:
+                cut_coprime += coprime
+                cut_mf += pairs - coprime
+            elif any(other != lcm and not om & ~lm and _divides(other, lcm)
+                     for other, (_, _, om, _) in new.items()):
+                cut_mf += pairs
+            else:
+                cut_mf += pairs - 1
+                live[i, k] = (lcm, lm)
+                heapq.heappush(heap, (sum(lcm), order.sort_key(lcm), i, k))
+        # elements whose lead lead(h) divides get no further pairs and stop
+        # reducing: lead(h) reduces all they would
+        active = [i for i in active if hm & ~basis[i].mask or not _divides(hl, basis[i].lead)]
+        active.append(k)
+        reducers = [basis[i] for i in active]
+        peak = max(peak, len(active))
+
     for g in generators:
-        g = normal_form(g, basis, order)
+        g = normal_form(g, reducers, order)
         if g is not None:
-            if g.degree > max_degree:
-                raise ResourceCapExceeded(f"degree cap {max_degree} exceeded")
-            basis.append(g)
-
-    heap: list = []
-
-    def push(i, j):
-        lcm = tuple(max(a, b) for a, b in zip(basis[i].lead, basis[j].lead))
-        heapq.heappush(heap, (sum(lcm), order.sort_key(lcm), i, j))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push(i, j)
-    processed = 0
+            add(g)
     while heap:
         _, _, i, j = heapq.heappop(heap)
+        if live.pop((i, j), None) is None:
+            continue
+        if processed == max_pairs:
+            raise exceeded(f"S-pair cap {max_pairs}")
         processed += 1
-        if processed > max_pairs:
-            raise ResourceCapExceeded(f"S-pair cap {max_pairs} exceeded")
-        if _coprime(basis[i].lead, basis[j].lead):
-            continue
-        s = _s_binomial(basis[i], basis[j], order)
-        h = normal_form(s, basis, order)
+        h = normal_form(_s_binomial(basis[i], basis[j], order), reducers, order)
         if h is None:
-            continue
-        if h.degree > max_degree:
-            raise ResourceCapExceeded(f"degree cap {max_degree} exceeded")
-        basis.append(h)
-        k = len(basis) - 1
-        for i2 in range(k):
-            push(i2, k)
-    return _inter_reduce(basis, order)
+            zero += 1
+        else:
+            add(h)
+    return _tail_reduce(reducers, order)
 
 
-def _inter_reduce(basis: list, order: MonomialOrder) -> list:
-    # drop elements whose lead is divisible by another surviving lead
-    kept: list = []
-    for g in sorted(basis, key=lambda g: order.sort_key(g.lead)):
-        if any(_divides(h.lead, g.lead) for h in kept):
-            continue
-        kept = [h for h in kept if not _divides(g.lead, h.lead)]
-        kept.append(g)
-    # tail-reduce against the final lead set
-    reduced = []
-    for g in kept:
-        # the lead is reducible only by itself within a minimal basis
-        b = oriented(g.lead, _reduce_monomial(g.trail, kept), order)
-        if b is not None:
-            reduced.append(b)
+def _tail_reduce(minimal: list, order: MonomialOrder) -> list:
+    """The reduced basis from a Groebner basis whose leads divide no other lead.
+
+    The lead is reducible only by itself within a minimal basis, so only
+    trails are rewritten.
+    """
+    reduced = [oriented(g.lead, _reduce_monomial(g.trail, minimal), order) for g in minimal]
     reduced.sort(key=lambda g: order.sort_key(g.lead))
     return reduced
 
@@ -460,7 +533,7 @@ def homogenize_with_dummy(code: NeuralCode) -> NeuralCode:
 def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: int,
                timing: bool) -> tuple:
     """(gb degree, None, ms) or (None, skip reason, ms) for one code; ms only if timing."""
-    t0 = time.time() if timing else None
+    t0 = time.perf_counter() if timing else None
     deg, reason = 0, None
     try:
         if any(code_.words):
@@ -469,7 +542,7 @@ def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: i
             deg = gb_max_degree(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
     except ResourceCapExceeded as exc:
         deg, reason = None, str(exc)
-    return deg, reason, round((time.time() - t0) * 1000, 3) if timing else None
+    return deg, reason, round((time.perf_counter() - t0) * 1000, 3) if timing else None
 
 
 def conjecture_scan(
@@ -490,7 +563,7 @@ def conjecture_scan(
     report order stays the enumeration order.  ``timing`` adds the
     wall-clock fields ``time_ms`` per code and ``total_time_ms``.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     enumerated = list(enumerate_pierced_codes(max_n, max_k))
     codes = [c for c, _ in enumerated]
     work = partial(_scan_code, order_kind=order_kind, max_pairs=max_pairs,
@@ -531,5 +604,5 @@ def conjecture_scan(
         "results": results,
     }
     if timing:
-        report["total_time_ms"] = round((time.time() - t_start) * 1000, 1)
+        report["total_time_ms"] = round((time.perf_counter() - t_start) * 1000, 1)
     return report

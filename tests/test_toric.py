@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 import sympy
@@ -12,12 +13,15 @@ from piercedcodes.piercing import (
     PiercingSequence,
     PiercingStep,
     enumerate_pierced_codes,
+    recover_piercing_sequence,
     replay,
 )
 from piercedcodes.toric import (
     CodewordLexOrder,
     EliminationOrder,
     ListedLexOrder,
+    MonomialOrder,
+    PolyRing,
     ResourceCapExceeded,
     WeightedGrevlexOrder,
     binomial_from_words,
@@ -39,6 +43,7 @@ from piercedcodes.toric import (
     yvar,
 )
 from .conftest import CUBIC_CODE, FULL_3, seeded_pierced
+from .plain_buchberger import plain_buchberger
 
 C4 = code(2, [], [1], [2], [1, 2])
 
@@ -145,6 +150,21 @@ def test_monomial_order_axioms(make_order):
             assert order.greater(a, one)
 
 
+def test_float_weights_give_a_monomial_order():
+    # summed in floating point, a = y2^2*y4 beats b = y2*y3^3 (1.1 against
+    # 1.0999999999999999) but a*y3 loses to b*y3
+    ring = PolyRing(tuple(yvar([i]) for i in range(1, 5)))
+    order = WeightedGrevlexOrder(ring, [0.1, 0.2, 0.3, 0.7])
+    a, b, y3 = (0, 2, 0, 1), (0, 1, 3, 0), (0, 0, 1, 0)
+    ay3 = tuple(map(sum, zip(a, y3)))
+    by3 = tuple(map(sum, zip(b, y3)))
+    assert order.greater(a, b) == order.greater(ay3, by3)
+    assert order.greater(b, a) == order.greater(by3, ay3)
+    # integral weights stay ints, whatever their type
+    w = WeightedGrevlexOrder(ring, [1.0, 0, 2, True]).weights[0]
+    assert w == (1, 0, 2, 1) and {type(x) for x in w} == {int}
+
+
 def test_elimination_order_property():
     ering = elimination_ring(C4)
     order = EliminationOrder(ering, CodewordLexOrder(codeword_ring(C4)))
@@ -209,6 +229,86 @@ def test_one_elimination_matches_two_step_bases(pierced_n4_k3):
             assert ideal.reduced_groebner_basis(order) == buchberger(lex, order), str(c)
 
 
+def _elimination(ideal, order):
+    """The graph binomials x^c - y_c, oriented under the elimination order."""
+    eorder = EliminationOrder(ideal.ering, order)
+    graph = [oriented(ideal.ering.monomial({("x", i): 1 for i in v[1]}),
+                      ideal.ering.monomial({v: 1}), eorder) for v in ideal.ring.variables]
+    return graph, eorder
+
+
+def test_buchberger_matches_plain_oracle_on_pierced_codes(pierced_n4_k3):
+    codes = [c for c, _ in pierced_n4_k3] + [c for c, _ in seeded_pierced(5, 12, seed=11, max_k=2)]
+    for c in codes:
+        if not any(c.words):
+            continue
+        ideal = toric_ideal(c)
+        listing = [frozenset(v[1]) for v in ideal.ring.variables]
+        for order in (CodewordLexOrder(ideal.ring),
+                      WeightedGrevlexOrder(ideal.ring, two_subset_weights),
+                      ListedLexOrder(ideal.ring, listing, ascending=False)):
+            graph, eorder = _elimination(ideal, order)
+            assert buchberger(graph, eorder) == plain_buchberger(graph, eorder), str(c)
+            assert verify_buchberger_certificate(ideal.reduced_groebner_basis(order), order)
+
+
+def _lcm_shared(leads):
+    """Two different pairs of distinct leads have the same lcm."""
+    seen = set()
+    for a, b in itertools.combinations(sorted(set(leads)), 2):
+        lcm = tuple(map(max, a, b))
+        if lcm in seen:
+            return True
+        seen.add(lcm)
+    return False
+
+
+def _random_binomial_set(rng):
+    """A few binomials on 3 to 6 variables, from monomials of degree at
+    most 3; on so few variables many pairs of leads share their lcm."""
+    nvars = rng.randint(3, 6)
+    ring = PolyRing(tuple(("x", i) for i in range(nvars)))
+
+    def monomial():
+        m = [0] * nvars
+        for _ in range(rng.randint(1, 3)):
+            m[rng.randrange(nvars)] += 1
+        return tuple(m)
+
+    pairs = [(monomial(), monomial()) for _ in range(rng.randint(2, 5))]
+    return ring, pairs
+
+
+def test_buchberger_matches_plain_oracle_on_random_binomials():
+    rng = random.Random(24)
+    shared = 0
+    for trial in range(150):
+        ring, pairs = _random_binomial_set(rng)
+        n = len(ring.variables)
+        orders = (MonomialOrder(ring, tuple(range(n))),
+                  MonomialOrder(ring, tuple(reversed(range(n))), ((1,) * n,), reverse=True))
+        gbs = []
+        for order in orders:
+            gens = [oriented(a, b, order) for a, b in pairs]
+            gbs.append(buchberger(gens, order))
+            assert gbs[-1] == plain_buchberger(gens, order), (pairs, order)
+            assert verify_buchberger_certificate(gbs[-1], order)
+            shared += _lcm_shared([g.lead for g in gbs[-1]])
+        if trial < 30:
+            # sympy's reduced lex basis, x0 the most significant variable
+            xs = sympy.symbols(f"x0:{n}")
+            polys = [sympy.Mul(*(x ** e for x, e in zip(xs, a)))
+                     - sympy.Mul(*(x ** e for x, e in zip(xs, b))) for a, b in pairs]
+            ref = set()
+            for p in sympy.groebner(polys, *xs, order="lex").polys:
+                (lead, one), (trail, minus_one) = p.terms()
+                assert (one, minus_one) == (1, -1)
+                ref.add((lead, trail))
+            assert {(g.lead, g.trail) for g in gbs[0]} == ref, pairs
+    # the edge case of criteria B and F: leads whose pairs share an lcm
+    assert shared >= 50
+
+
 def test_buchberger_certificate_and_kernel():
     for c in (C4, FULL_3, CUBIC_CODE):
         ideal = toric_ideal(c)
@@ -242,11 +342,36 @@ def test_gb_deterministic():
     ] == [g.as_str(b.ring) for g in b.reduced_groebner_basis(order_b)]
 
 
+# a cap message names the work done before the cap fired
+CAP_WORK = re.compile(
+    r"after (\d+) S-pairs processed \(cut: (\d+) coprime, (\d+) by criterion B, "
+    r"(\d+) by criteria M/F\), (\d+) zero reductions, peak basis size (\d+)$"
+)
+
+
 def test_degree_cap():
     ideal = toric_ideal(CUBIC_CODE)
     order = CodewordLexOrder(ideal.ring)
-    with pytest.raises(ResourceCapExceeded):
+    with pytest.raises(ResourceCapExceeded) as exc:
         buchberger(ideal.generators, order, max_degree=2)
+    # the one cubic generator is rejected before any pair exists
+    msg = str(exc.value)
+    assert msg.startswith("degree cap 2 exceeded after ")
+    assert CAP_WORK.search(msg).groups() == ("0",) * 6
+
+
+def test_pair_cap_names_the_work_done():
+    ideal = toric_ideal(FULL_3)
+    with pytest.raises(ResourceCapExceeded) as exc:
+        ideal.reduced_groebner_basis(CodewordLexOrder(ideal.ring), max_pairs=1)
+    msg = str(exc.value)
+    assert msg.startswith("S-pair cap 1 exceeded after ")
+    processed, coprime, by_b, by_mf, zero, peak = map(int, CAP_WORK.search(msg).groups())
+    # 7 graph binomials and at most one reduced S-binomial: each pair of
+    # these 8 is cut once, reduced once, or still queued
+    assert processed == 1 and zero <= 1
+    assert coprime > 0 and 0 < peak <= 8
+    assert processed + coprime + by_b + by_mf <= 8 * 7 // 2
 
 
 def _kernel_oracle(c, max_deg=4):
@@ -381,6 +506,14 @@ def test_orders_match_sympy_groebner(pierced_n4_k3):
             gb = ideal.reduced_groebner_basis(order_for(ideal.ring, kind))
             got = {(_as_words(g.lead, words), _as_words(g.trail, words)) for g in gb}
             assert got == _sympy_basis(c, kind), (str(c), kind)
+
+
+def test_full_code_on_five_neurons_is_quadratic_under_lex():
+    # the code of all 32 words, 4-pierced, under the default caps
+    full = code(5, *(w for k in range(6) for w in itertools.combinations(range(1, 6), k)))
+    assert recover_piercing_sequence(full, 4).degree == 4
+    ideal = toric_ideal(full)
+    assert gb_max_degree(ideal, CodewordLexOrder(ideal.ring)) == 2
 
 
 def test_conjecture_scan_small():
