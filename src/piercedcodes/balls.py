@@ -322,17 +322,20 @@ def _sampled_patterns(real: BallRealization, samples: int, seed: int):
     from scipy.stats import qmc
     drawn = 1 << (samples - 1).bit_length()
     block = min(drawn, SAMPLE_BLOCK)
-    lo, hi = real.bounding_box()
     sampler = qmc.Sobol(d=real.dim, scramble=True, seed=seed)
-    centers = np.array(real.centers)
-    radii2 = np.array(real.radii) ** 2
+    # arrays run ball by coordinate by point, so that the long axis is the
+    # inner, contiguous one
+    lo, hi = (x[:, None] for x in real.bounding_box())
+    centers = np.array(real.centers)[:, :, None]
+    radii2 = np.array(real.radii)[:, None] ** 2
     weights = 1 << np.arange(len(radii2))
-    found = set()
+    found = np.zeros(0, dtype=weights.dtype)
     for _ in range(drawn // block):
-        pts = lo + sampler.random(block) * (hi - lo)
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        found.update(int(x) for x in np.unique((d2 < radii2) @ weights))
-    return found, drawn
+        diff = lo + np.ascontiguousarray(sampler.random(block).T) * (hi - lo) - centers
+        patterns = weights @ (np.einsum("ijk,ijk->ik", diff, diff) < radii2)
+        # most points repeat a pattern already found; only the rest are sorted
+        found = np.union1d(found, patterns[~np.isin(patterns, found)])
+    return set(found.tolist()), drawn
 
 
 def verify_ball_realization(

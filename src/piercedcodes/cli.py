@@ -17,7 +17,7 @@ from . import balls, complexes, hyperplane, neural_ideal, toric
 from .codes import NeuralCode, word_str
 from .piercing import (
     PiercingStep,
-    ResourceLimitExceeded,
+    ResourceCapExceeded,
     is_pierceable,
     pierce,
     recover_piercing_sequence,
@@ -228,7 +228,7 @@ def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out
     ideal = toric.toric_ideal(c)
     try:
         gb = ideal.reduced_groebner_basis(order, max_pairs=max_pairs, max_degree=max_degree)
-    except toric.ResourceCapExceeded as exc:
+    except ResourceCapExceeded as exc:
         _emit({"status": "resource_cap", "detail": str(exc)}, out)
         sys.exit(EXIT_RESOURCE)
     _emit(
@@ -236,7 +236,7 @@ def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out
             "code": str(c),
             "order": order_kind,
             "basis": [g.as_str(ideal.ring) for g in gb],
-            "max_degree": toric.gb_max_degree(ideal, order),
+            "max_degree": toric.gb_max_degree(gb),
         },
         out,
     )
@@ -334,7 +334,7 @@ def scan_conjecture(max_n, max_k, order_kind, max_pairs, max_degree, jobs, timin
             max_n, max_k, order_kind, max_pairs=max_pairs, max_degree=max_degree,
             jobs=jobs, timing=timing,
         )
-    except ResourceLimitExceeded as exc:
+    except ResourceCapExceeded as exc:
         _emit({"status": "resource_cap", "detail": str(exc)}, out)
         sys.exit(EXIT_RESOURCE)
     _emit(report, out)
@@ -364,7 +364,7 @@ def counterexample(out):
         cubics = [g.as_str(ideal.ring) for g in gb if g.degree == 3]
         entry = {
             "basis_size": len(gb),
-            "max_degree": toric.gb_max_degree(ideal, order),
+            "max_degree": toric.gb_max_degree(gb),
             "cubics": cubics,
             "basis": [g.as_str(ideal.ring) for g in gb],
         }

@@ -16,8 +16,9 @@ from typing import Iterator, Optional
 from .codes import NeuralCode
 
 
-class ResourceLimitExceeded(Exception):
-    """Raised when enumeration outgrows its configured cap."""
+class ResourceCapExceeded(Exception):
+    """A computation outgrew its cap: enumeration's code count here, and
+    Buchberger's S-pair or degree cap in ``toric``."""
 
 
 def _subsets(s: frozenset) -> Iterator[frozenset]:
@@ -169,7 +170,10 @@ def _recover_last_step(words: frozenset, neurons: frozenset, j: int, max_k: int)
     if len(lam) > max_k:
         return None
     tau = neurons - {j} - lam - sigma
-    if s_family != {sigma | nu for nu in _subsets(lam)}:
+    # every member of S lies between sigma and sigma | lam, an interval of
+    # 2^|lam| sets, so S is that whole interval exactly when it has 2^|lam|
+    # members
+    if len(s_family) != 1 << len(lam):
         return None
     rest_words = words - frozenset(with_j)
     if not s_family <= rest_words:
@@ -267,7 +271,7 @@ def enumerate_pierced_codes(
             nxt = pierce(current, step)
             count += 1
             if count > max_codes:
-                raise ResourceLimitExceeded(f"more than {max_codes} codes enumerated")
+                raise ResourceCapExceeded(f"more than {max_codes} codes enumerated")
             nxt_seq = PiercingSequence(seq.steps + (step,))
             yield nxt, nxt_seq
             frontier.append((nxt, nxt_seq))

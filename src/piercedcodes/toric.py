@@ -15,9 +15,13 @@ new element makes redundant, M and F keep one new pair per minimal lcm,
 and pairs with coprime leads are never queued.  ``max_pairs`` counts
 the pairs that survive them and are reduced.
 
-Variables are tagged ("x", i) for neuron variables and ("y", c) for
-codeword variables, c a sorted tuple of neuron indices.  A PolyRing
-fixes a tuple of variables; monomials are exponent tuples over it.
+The codeword variable y_c is the codeword c itself, a frozenset, and
+the neuron variable x_i is the int i.  A PolyRing fixes a tuple of
+variables; monomials are exponent tuples over it.  Every lex order is a
+codeword listing (``ListedLexOrder``); codeword lex lists the codewords
+in the codeword order.  No basis is cached: each call of
+``ToricIdeal.reduced_groebner_basis`` runs one elimination, and callers
+keep the basis they computed.
 """
 
 from __future__ import annotations
@@ -34,25 +38,14 @@ from operator import le, mul
 from typing import Iterable, Optional
 
 from .codes import NeuralCode, word_key
-from .piercing import enumerate_pierced_codes
+from .piercing import ResourceCapExceeded, enumerate_pierced_codes
 
 
-class ResourceCapExceeded(Exception):
-    """Buchberger exceeded its S-pair or degree cap."""
-
-
-def yvar(c) -> tuple:
-    return ("y", tuple(sorted(c)))
-
-
-def xvar(i: int) -> tuple:
-    return ("x", i)
-
-
-def var_str(v: tuple) -> str:
-    if v[0] == "x":
-        return f"x{v[1]}"
-    return "y_{" + "".join(str(i) for i in v[1]) + "}"
+def var_str(v) -> str:
+    """x3 for the neuron variable 3, y_{12} for the codeword {1, 2}."""
+    if isinstance(v, int):
+        return f"x{v}"
+    return "y_{" + "".join(str(i) for i in sorted(v)) + "}"
 
 
 @dataclass(frozen=True)
@@ -85,12 +78,11 @@ class PolyRing:
 
 def codeword_ring(code: NeuralCode) -> PolyRing:
     """Ring on y_c for the nonempty codewords, in the codeword order."""
-    nonempty = sorted((c for c in code.words if c), key=word_key)
-    return PolyRing(tuple(yvar(c) for c in nonempty))
+    return PolyRing(tuple(sorted((c for c in code.words if c), key=word_key)))
 
 
 def elimination_ring(code: NeuralCode) -> PolyRing:
-    xs = tuple(xvar(i) for i in sorted({i for c in code.words for i in c}))
+    xs = tuple(sorted({i for c in code.words for i in c}))
     return PolyRing(xs + codeword_ring(code).variables)
 
 
@@ -104,8 +96,8 @@ class MonomialOrder:
 
     Monomials compare first by each weight row, then by their exponents
     taken in ``significance`` order, most significant first; ``reverse``
-    negates those exponents, giving reverse lex.  Orders are equal when
-    their fields are, which keys the Groebner basis cache.
+    negates those exponents, giving reverse lex.  Two orders are equal
+    when their fields are.
     """
 
     ring: PolyRing
@@ -127,36 +119,28 @@ class MonomialOrder:
         return self.sort_key(a) > self.sort_key(b)
 
 
-def _ranked(ring: PolyRing, indices, rank, ascending: bool = True) -> tuple:
-    """``indices`` with the variable of largest ``rank`` first (last if not ascending)."""
-    return tuple(sorted(indices, key=lambda i: rank(ring.variables[i]), reverse=ascending))
-
-
-def _codeword_rank(v) -> tuple:
-    if v[0] != "y":
-        raise ValueError("codeword lex order is defined on codeword variables only")
-    return word_key(frozenset(v[1]))
-
-
 def CodewordLexOrder(ring: PolyRing) -> MonomialOrder:
     """Lex on codeword variables, induced by the codeword order.
 
-    The variable of the codeword-order-largest codeword is most
-    significant; this orientation makes y_12 smaller than y_1*y_2,
-    since {1,2} precedes {2}.
+    The listing of the ring's codewords in the codeword order, so the
+    variable of the codeword-order-largest codeword is most significant;
+    this orientation makes y_12 smaller than y_1*y_2, since {1,2}
+    precedes {2}.
     """
-    return MonomialOrder(ring, _ranked(ring, range(len(ring.variables)), _codeword_rank))
+    return ListedLexOrder(ring, sorted(ring.variables, key=word_key))
 
 
 def ListedLexOrder(ring: PolyRing, listing: Iterable, ascending: bool = True) -> MonomialOrder:
-    """Lex induced by an explicit codeword listing.
+    """Lex induced by an explicit listing of the ring's codewords.
 
     ``ascending=True`` ranks the last-listed codeword's variable most
     significant (the orientation consistent with the codeword-order
     lex); ``ascending=False`` flips it.
     """
-    pos = {yvar(c): i for i, c in enumerate(listing)}
-    return MonomialOrder(ring, _ranked(ring, range(len(ring.variables)), pos.__getitem__, ascending))
+    pos = {c: i for i, c in enumerate(listing)}
+    significance = sorted(range(len(ring.variables)),
+                          key=lambda i: pos[ring.variables[i]], reverse=ascending)
+    return MonomialOrder(ring, tuple(significance))
 
 
 def WeightedGrevlexOrder(ring: PolyRing, weights) -> MonomialOrder:
@@ -187,7 +171,7 @@ def _exact(x) -> int | Fraction:
 
 def two_subset_weights(v) -> int:
     """The n=3 classification weights: 1 on two-element codewords, else 0."""
-    return 1 if v[0] == "y" and len(v[1]) == 2 else 0
+    return 1 if isinstance(v, frozenset) and len(v) == 2 else 0
 
 
 def EliminationOrder(ring: PolyRing, inner: MonomialOrder) -> MonomialOrder:
@@ -408,12 +392,15 @@ def _tail_reduce(minimal: list, order: MonomialOrder) -> list:
 
 
 def verify_buchberger_certificate(basis: list, order: MonomialOrder) -> bool:
-    """Every S-binomial of the basis reduces to zero."""
-    for f, g in itertools.combinations(basis, 2):
-        s = _s_binomial(f, g, order)
-        if normal_form(s, basis, order) is not None:
-            return False
-    return True
+    """Every S-binomial of the basis reduces to zero.
+
+    Pairs with coprime leads are skipped: their S-binomials always reduce
+    to zero (Buchberger's first criterion), so the answer is the same.
+    """
+    return all(
+        not f.mask & g.mask or normal_form(_s_binomial(f, g, order), basis, order) is None
+        for f, g in itertools.combinations(basis, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +416,9 @@ def monomial_map_image(m: tuple, ring: PolyRing) -> dict:
     for v, e in zip(ring.variables, m):
         if e == 0:
             continue
-        if v[0] != "y":
+        if not isinstance(v, frozenset):
             raise ValueError(f"not a codeword variable: {v!r}")
-        for i in v[1]:
+        for i in v:
             image[i] = image.get(i, 0) + e
     return {i: e for i, e in sorted(image.items()) if e}
 
@@ -444,41 +431,28 @@ def in_kernel(b: Binomial, ring: PolyRing) -> bool:
 class ToricIdeal:
     """The kernel of y_c -> x^c on the codeword ring ``ring``.
 
-    Its basis under an order is the x-free part of one elimination in ``ering``.
+    Its basis under an order is the x-free part of one elimination in
+    ``ering``; each call runs that elimination, and nothing is cached.
     """
 
     ring: PolyRing
     ering: PolyRing
-    _gb_cache: dict = field(default_factory=dict)
-
-    @property
-    def generators(self) -> list:
-        """The reduced basis under codeword lex."""
-        return self.reduced_groebner_basis(CodewordLexOrder(self.ring))
 
     def reduced_groebner_basis(
         self, order: MonomialOrder, max_pairs: int = 200_000, max_degree: int = 60
     ) -> list:
         if order.ring != self.ring:
             raise ValueError("the order is on another ring than the ideal's")
-        cached = self._gb_cache.get(order)
-        if cached is None:
-            eorder = EliminationOrder(self.ering, order)
-            graph = [oriented(self.ering.monomial({xvar(i): 1 for i in v[1]}),
-                              self.ering.monomial({v: 1}), eorder) for v in self.ring.variables]
-            nx = len(self.ering.variables) - len(self.ring.variables)
-            # an x-free lead has an x-free trail, and there the order is ``order``
-            cached = [
-                Binomial(g.lead[nx:], g.trail[nx:])
-                for g in buchberger(graph, eorder, max_pairs, max_degree)
-                if not any(g.lead[:nx])
-            ]
-            self._gb_cache[order] = cached
-        return cached
-
-    def contains(self, b: Optional[Binomial], order: MonomialOrder) -> bool:
-        gb = self.reduced_groebner_basis(order)
-        return normal_form(b, gb, order) is None
+        eorder = EliminationOrder(self.ering, order)
+        graph = [oriented(self.ering.monomial(dict.fromkeys(c, 1)),
+                          self.ering.monomial({c: 1}), eorder) for c in self.ring.variables]
+        nx = len(self.ering.variables) - len(self.ring.variables)
+        # an x-free lead has an x-free trail, and there the order is ``order``
+        return [
+            Binomial(g.lead[nx:], g.trail[nx:])
+            for g in buchberger(graph, eorder, max_pairs, max_degree)
+            if not any(g.lead[:nx])
+        ]
 
 
 def toric_ideal(code: NeuralCode) -> ToricIdeal:
@@ -488,8 +462,8 @@ def toric_ideal(code: NeuralCode) -> ToricIdeal:
     return ToricIdeal(codeword_ring(code), elimination_ring(code))
 
 
-def gb_max_degree(ideal: ToricIdeal, order: MonomialOrder, **caps) -> int:
-    gb = ideal.reduced_groebner_basis(order, **caps)
+def gb_max_degree(gb: list) -> int:
+    """The largest degree of a basis element; 0 for the empty basis."""
     return max((g.degree for g in gb), default=0)
 
 
@@ -497,8 +471,8 @@ def binomial_from_words(
     ring: PolyRing, order: MonomialOrder, plus: Iterable, minus: Iterable
 ) -> Optional[Binomial]:
     """Binomial y_{plus...} - y_{minus...} from codeword multisets."""
-    a = ring.monomial(Counter(yvar(c) for c in plus))
-    b = ring.monomial(Counter(yvar(c) for c in minus))
+    a = ring.monomial(Counter(frozenset(c) for c in plus))
+    b = ring.monomial(Counter(frozenset(c) for c in minus))
     return oriented(a, b, order)
 
 
@@ -511,13 +485,14 @@ def check_nesting(sub: NeuralCode, sup: NeuralCode) -> bool:
     isub = toric_ideal(sub)
     isup = toric_ideal(sup)
     order = CodewordLexOrder(isup.ring)
+    gb = isup.reduced_groebner_basis(order)
 
     def embed(m: tuple) -> tuple:
         return isup.ring.monomial(dict(zip(isub.ring.variables, m)))
 
     return all(
-        isup.contains(oriented(embed(g.lead), embed(g.trail), order), order)
-        for g in isub.generators
+        normal_form(oriented(embed(g.lead), embed(g.trail), order), gb, order) is None
+        for g in isub.reduced_groebner_basis(CodewordLexOrder(isub.ring))
     )
 
 
@@ -534,12 +509,11 @@ def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: i
                timing: bool) -> tuple:
     """(gb degree, None, ms) or (None, skip reason, ms) for one code; ms only if timing."""
     t0 = time.perf_counter() if timing else None
-    deg, reason = 0, None
+    reason = None
     try:
-        if any(code_.words):
-            ideal = toric_ideal(code_)
-            order = order_for(ideal.ring, order_kind)
-            deg = gb_max_degree(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
+        ideal = toric_ideal(code_)
+        order = order_for(ideal.ring, order_kind)
+        deg = gb_max_degree(ideal.reduced_groebner_basis(order, max_pairs, max_degree))
     except ResourceCapExceeded as exc:
         deg, reason = None, str(exc)
     return deg, reason, round((time.perf_counter() - t0) * 1000, 3) if timing else None

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from piercedcodes.balls import (
+    SAMPLE_BLOCK,
     BallConstructionError,
     BallRealization,
+    _sampled_patterns,
     build_ball_realization,
     sphere_intersection,
     verify_ball_realization,
@@ -210,3 +212,22 @@ def test_every_n5_code_builds():
     for c, real in _built(cases):
         rep = verify_ball_realization(real, c)
         assert rep["ok"], (str(c), rep)
+
+
+def test_sampled_patterns_match_pointwise_classification():
+    # reference: each Sobol point classified on its own, its squared
+    # distances summed in Python; two blocks, so the second one meets
+    # patterns the first has found
+    from scipy.stats import qmc
+
+    for _c, seq in seeded_pierced(4, 4, seed=3):
+        real = build_ball_realization(seq)
+        found, drawn = _sampled_patterns(real, 2 * SAMPLE_BLOCK, seed=5)
+        lo, hi = real.bounding_box()
+        pts = lo + qmc.Sobol(d=real.dim, scramble=True, seed=5).random(drawn) * (hi - lo)
+        balls = list(enumerate(zip(real.centers, real.radii)))
+        want = {
+            sum(1 << i for i, (c, r) in balls if sum((x - y) ** 2 for x, y in zip(p, c)) < r * r)
+            for p in pts.tolist()
+        }
+        assert drawn == 2 * SAMPLE_BLOCK and found == want

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+from piercedcodes import toric
 from piercedcodes.codes import NeuralCode, code, word
 from piercedcodes.piercing import (
     BASE_CODE,
     PiercingSequence,
     PiercingStep,
-    ResourceLimitExceeded,
+    ResourceCapExceeded,
     _recover_last_step,
     enumerate_pierced_codes,
     is_pierceable,
@@ -347,5 +348,7 @@ def test_enumeration_reaches_each_code_once():
 
 
 def test_enumeration_resource_cap():
-    with pytest.raises(ResourceLimitExceeded):
+    with pytest.raises(ResourceCapExceeded):
         list(enumerate_pierced_codes(4, 2, max_codes=10))
+    # one cap exception: Buchberger's caps raise the same class
+    assert toric.ResourceCapExceeded is ResourceCapExceeded
