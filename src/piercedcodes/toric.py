@@ -7,8 +7,19 @@ algorithm works entirely on exponent vectors: S-polynomials and
 reductions of binomials are again binomials, with coefficients +-1.
 Each kernel basis is the x-free part of one elimination (Sturmfels 1996, Alg. 4.5).
 
-Each binomial carries the support bitmask of its lead, so one int test
-rules out most non-divisors in reduction and decides coprime leads.
+Binomials of exponent tuples go in and come out, but the engine packs
+each monomial into one int, a field of W bits per variable with a guard
+bit on top (Bachmann-Schoenemann 1998): the most significant variable
+has the highest field, so lex is int comparison, and a weight row is a
+sum of field sums read as residues.  Divisibility, lcm and a reduction
+move are a few word operations.  Exact degrees ride along, and every
+monomial held has degree below 2^(W-1), which keeps each field below its
+guard bit and each residue exact; a step that would cross that bound
+starts the run again twice as wide, with the same steps and so the same
+result.  W starts at 8 bits, wider only if the inputs' degrees need it.
+``normal_form``, the certificate and the tail reduction all use the
+packed reduction.
+
 New pairs pass the Gebauer-Moeller criteria (Gebauer-Moeller 1988;
 Becker-Weispfenning 1993, UPDATE): criterion B drops queued pairs that a
 new element makes redundant, M and F keep one new pair per minimal lcm,
@@ -31,10 +42,10 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import le, mul
+from operator import mul
 from typing import Iterable, Optional
 
 from .codes import NeuralCode, word_key
@@ -209,18 +220,10 @@ def order_for(ring: PolyRing, kind: str, weights=None) -> MonomialOrder:
 
 @dataclass(frozen=True)
 class Binomial:
-    """lead - trail with lead strictly greater under the ambient order.
-
-    ``mask`` is the support bitmask of the lead: bit i is set when
-    variable i occurs in it.
-    """
+    """lead - trail with lead strictly greater under the ambient order."""
 
     lead: tuple
     trail: tuple
-    mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", _support(self.lead))
 
     @property
     def degree(self) -> int:
@@ -236,61 +239,137 @@ def oriented(a: tuple, b: tuple, order: MonomialOrder) -> Optional[Binomial]:
     return Binomial(a, b) if order.greater(a, b) else Binomial(b, a)
 
 
-def _support(m: tuple) -> int:
-    s = 0
-    for i, e in enumerate(m):
-        if e:
-            s |= 1 << i
-    return s
+class _Widen(Exception):
+    """A monomial reached the degree its packing holds: run again, wider."""
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(map(le, a, b))
+class _Packing:
+    """Monomials of one order's ring as ints of ``width``-bit fields.
 
-
-def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
-
-def _sub_add(m: tuple, sub: tuple, add: tuple) -> tuple:
-    return tuple([x - s + a for x, s, a in zip(m, sub, add)])
-
-
-def _reduce_monomial(m: tuple, basis: list) -> tuple:
-    """Rewrite m by lead -> trail moves until no lead divides it.
-
-    A lead whose support leaves m's support cannot divide m, so one mask
-    test against ``~support(m)`` skips it before the exponent test.
+    The field of variable ``significance[p]`` lies p fields below the
+    top one, so lex is int comparison, and the top bit of each field is
+    a guard bit, clear in a packed monomial.  Every monomial held has
+    total degree below ``limit`` = 2^(width-1): no field reaches its
+    guard bit, so a subtraction borrows no bit from the next field, and
+    every sum of fields is below 2^width - 1, the modulus at which a
+    packed int is congruent to the sum of its fields.  Degrees are kept
+    exactly next to the ints, and a step that would reach ``limit``
+    raises ``_Widen``.
     """
-    off = ~_support(m)
-    changed = True
-    while changed:
-        changed = False
-        for g in basis:
-            if not g.mask & off and _divides(g.lead, m):
-                m = _sub_add(m, g.lead, g.trail)
-                off = ~_support(m)
-                changed = True
-    return m
+
+    def __init__(self, order: MonomialOrder, width: int):
+        n = len(order.ring.variables)
+        self.limit = 1 << (width - 1)
+        self.modulus = (1 << width) - 1
+        self.shifts = [0] * n
+        for p, i in enumerate(order.significance):
+            self.shifts[i] = width * (n - 1 - p)
+        low = sum(1 << s for s in self.shifts)
+        self.guard = low << (width - 1)
+        self.width = width
+        self.reverse = order.reverse
+        # each weight row as (weight, mask of the fields with that weight)
+        self.rows = []
+        for row in order.weights:
+            masks: dict = {}
+            for w, s in zip(row, self.shifts):
+                if w:
+                    masks[w] = masks.get(w, 0) | (self.limit - 1) << s
+            self.rows.append(tuple(masks.items()))
+
+    def pack(self, m: tuple) -> int:
+        return sum(e << s for e, s in zip(m, self.shifts))
+
+    def unpack(self, x: int) -> tuple:
+        f = self.limit - 1
+        return tuple((x >> s) & f for s in self.shifts)
+
+    def key(self, x: int):
+        """Compares like ``MonomialOrder.sort_key`` of the unpacked monomial.
+
+        A weight row is the sum over its weights w of w times the sum of
+        the fields weighted w, read as a residue.
+        """
+        lex = -x if self.reverse else x
+        if not self.rows:
+            return lex
+        mod = self.modulus
+        return (*[sum([w * ((x & mask) % mod) for w, mask in row]) for row in self.rows], lex)
+
+    def divides(self, a: int, b: int) -> bool:
+        g = self.guard
+        return (b | g) - a & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        """The fieldwise max; its degree, at most 2^width - 2, reads as a residue."""
+        ge = (a | self.guard) - b & self.guard      # guard set where a's field >= b's
+        return b ^ (a ^ b) & (ge - (ge >> (self.width - 1)))
+
+    def element(self, g: Binomial) -> tuple:
+        """g as (lead, trail - lead, degree change, lead degree).
+
+        Adding ``trail - lead`` to a multiple of the lead is the move
+        lead -> trail.
+        """
+        lead, dl = self.pack(g.lead), sum(g.lead)
+        return lead, self.pack(g.trail) - lead, sum(g.trail) - dl, dl
+
+    def reduce(self, m: int, d: int, elements: list) -> tuple:
+        """(m, d) rewritten by the elements' moves until no lead divides m.
+
+        Each pass tries every reducer in order and moves whenever its lead
+        divides; m is held with its guard bits set, so a divisibility test
+        is one subtraction and a move is one addition.
+        """
+        limit, g = self.limit, self.guard
+        if d >= limit:
+            raise _Widen
+        m |= g
+        changed = True
+        while changed:
+            changed = False
+            for lead, move, dd, _ in elements:
+                if m - lead & g == g:
+                    m += move
+                    d += dd
+                    if d >= limit:
+                        raise _Widen
+                    changed = True
+        return m ^ g, d
+
+
+def _packed(order: MonomialOrder, binomials: list, run):
+    """``run(packing)`` at the narrowest width that holds ``binomials``.
+
+    Widths start at 8 bits and double; ``run`` starts again from scratch,
+    twice as wide, whenever a monomial outgrows the width.
+    """
+    top = max((g.degree for g in binomials), default=0)
+    width = 8
+    while top >= 1 << (width - 1):
+        width *= 2
+    while True:
+        try:
+            return run(_Packing(order, width))
+        except _Widen:
+            width *= 2
 
 
 def normal_form(b: Optional[Binomial], basis: list, order: MonomialOrder) -> Optional[Binomial]:
     if b is None:
         return None
-    lead = _reduce_monomial(b.lead, basis)
-    trail = _reduce_monomial(b.trail, basis)
-    return oriented(lead, trail, order)
 
+    def run(pk: _Packing) -> Optional[Binomial]:
+        elements = [pk.element(g) for g in basis]
+        lead, _ = pk.reduce(pk.pack(b.lead), sum(b.lead), elements)
+        trail, _ = pk.reduce(pk.pack(b.trail), sum(b.trail), elements)
+        return oriented(pk.unpack(lead), pk.unpack(trail), order)
 
-def _s_binomial(f: Binomial, g: Binomial, order: MonomialOrder) -> Optional[Binomial]:
-    lcm = _lcm(f.lead, g.lead)
-    a = _sub_add(lcm, f.lead, f.trail)
-    b = _sub_add(lcm, g.lead, g.trail)
-    return oriented(a, b, order)
+    return _packed(order, [b, *basis], run)
 
 
 def buchberger(
-    generators: Iterable[Binomial],
+    generators: Iterable[Optional[Binomial]],
     order: MonomialOrder,
     max_pairs: int = 200_000,
     max_degree: int = 60,
@@ -302,11 +381,21 @@ def buchberger(
     monomials.  Pairs go through the Gebauer-Moeller update (Becker-
     Weispfenning 1993, UPDATE) as each element joins, and ``max_pairs``
     caps the S-binomials reduced, that is the pairs that survive it.
+    A widened run repeats every step, so the result and any cap message
+    do not depend on the width.
     """
-    basis: list = []        # every element found; pairs index into it
+    gens = [g for g in generators if g is not None]
+    return _packed(order, gens, partial(_buchberger, gens, max_pairs, max_degree))
+
+
+def _buchberger(generators: list, max_pairs: int, max_degree: int, pk: _Packing) -> list:
+    """``buchberger`` at one packing; raises ``_Widen`` if it is too narrow."""
+    key, lcm, divides, reduce = pk.key, pk.lcm, pk.divides, pk.reduce
+    mod = pk.modulus
+    basis: list = []        # every element found, as pk.element gives it; pairs index into it
     active: list = []       # indices of the elements no later lead divides
     reducers: list = []     # basis[i] for i in active, in that order
-    live: dict = {}         # queued pair (i, j) -> (lcm, support mask of lcm)
+    live: dict = {}         # queued pair (i, j) -> lcm of the leads
     heap: list = []         # (degree, order key of lcm, i, j); lazily deleted
     processed = zero = peak = cut_coprime = cut_b = cut_mf = 0
 
@@ -318,77 +407,82 @@ def buchberger(
             f"peak basis size {peak}"
         )
 
-    def add(h: Binomial) -> None:
+    def normal(a: int, da: int, b: int, db: int) -> Optional[tuple]:
+        """The reduced a - b in pk.element form, or None."""
+        a, da = reduce(a, da, reducers)
+        b, db = reduce(b, db, reducers)
+        if a == b:
+            return None
+        return (a, b - a, db - da, da) if key(a) > key(b) else (b, a - b, da - db, db)
+
+    def add(h: tuple) -> None:
         nonlocal active, reducers, peak, cut_coprime, cut_b, cut_mf
-        if h.degree > max_degree:
+        hl, _, dd, dl = h
+        if max(dl, dl + dd) > max_degree:
             raise exceeded(f"degree cap {max_degree}")
         k = len(basis)
         basis.append(h)
-        hl, hm = h.lead, h.mask
         # B: a queued pair whose lcm lead(h) divides is implied by its two
         # pairs with h, unless one of those has the same lcm
-        for ij, (lcm, lm) in list(live.items()):
-            if not hm & ~lm and _divides(hl, lcm):
+        for ij, m in list(live.items()):
+            if divides(hl, m):
                 i, j = ij
-                if _lcm(basis[i].lead, hl) != lcm and _lcm(basis[j].lead, hl) != lcm:
+                if lcm(basis[i][0], hl) != m and lcm(basis[j][0], hl) != m:
                     del live[ij]
                     cut_b += 1
         # M/F: of the new pairs, keep one per lcm, and only for the lcms no
         # other new lcm divides; coprime leads give a pair that reduces to
         # zero, and so does every pair sharing its lcm
-        new: dict = {}      # lcm -> [first i, coprime pairs, mask, pairs]
+        new: dict = {}      # lcm -> [first i, coprime pairs, pairs]
         for i in active:
-            gm = basis[i].mask
-            lcm = _lcm(basis[i].lead, hl)
-            entry = new.setdefault(lcm, [i, 0, gm | hm, 0])
-            entry[1] += not gm & hm
-            entry[3] += 1
-        for lcm, (i, coprime, lm, pairs) in new.items():
+            gl = basis[i][0]
+            m = lcm(gl, hl)
+            entry = new.setdefault(m, [i, 0, 0])
+            entry[1] += m == gl + hl            # coprime: the lcm is the product
+            entry[2] += 1
+        degree = {m: m % mod for m in new}
+        for m, (i, coprime, pairs) in new.items():
+            d = degree[m]
             if coprime:
                 cut_coprime += coprime
                 cut_mf += pairs - coprime
-            elif any(other != lcm and not om & ~lm and _divides(other, lcm)
-                     for other, (_, _, om, _) in new.items()):
+            # a divisor of m other than m has a smaller degree
+            elif any(divides(o, m) for o, do in degree.items() if do < d):
                 cut_mf += pairs
             else:
                 cut_mf += pairs - 1
-                live[i, k] = (lcm, lm)
-                heapq.heappush(heap, (sum(lcm), order.sort_key(lcm), i, k))
+                live[i, k] = m
+                heapq.heappush(heap, (d, key(m), i, k))
         # elements whose lead lead(h) divides get no further pairs and stop
         # reducing: lead(h) reduces all they would
-        active = [i for i in active if hm & ~basis[i].mask or not _divides(hl, basis[i].lead)]
+        active = [i for i in active if not divides(hl, basis[i][0])]
         active.append(k)
         reducers = [basis[i] for i in active]
         peak = max(peak, len(active))
 
     for g in generators:
-        g = normal_form(g, reducers, order)
-        if g is not None:
-            add(g)
+        h = normal(pk.pack(g.lead), sum(g.lead), pk.pack(g.trail), sum(g.trail))
+        if h is not None:
+            add(h)
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if live.pop((i, j), None) is None:
+        d, _, i, j = heapq.heappop(heap)
+        m = live.pop((i, j), None)
+        if m is None:
             continue
         if processed == max_pairs:
             raise exceeded(f"S-pair cap {max_pairs}")
         processed += 1
-        h = normal_form(_s_binomial(basis[i], basis[j], order), reducers, order)
+        (_, fmove, fdd, _), (_, gmove, gdd, _) = basis[i], basis[j]
+        h = normal(m + fmove, d + fdd, m + gmove, d + gdd)
         if h is None:
             zero += 1
         else:
             add(h)
-    return _tail_reduce(reducers, order)
-
-
-def _tail_reduce(minimal: list, order: MonomialOrder) -> list:
-    """The reduced basis from a Groebner basis whose leads divide no other lead.
-
-    The lead is reducible only by itself within a minimal basis, so only
-    trails are rewritten.
-    """
-    reduced = [oriented(g.lead, _reduce_monomial(g.trail, minimal), order) for g in minimal]
-    reduced.sort(key=lambda g: order.sort_key(g.lead))
-    return reduced
+    # tail reduction: within a minimal basis only the lead reduces the lead,
+    # so only trails are rewritten
+    reduced = sorted((key(lead), lead, reduce(lead + move, dl + dd, reducers)[0])
+                     for lead, move, dd, dl in reducers)
+    return [Binomial(pk.unpack(lead), pk.unpack(trail)) for _, lead, trail in reduced]
 
 
 def verify_buchberger_certificate(basis: list, order: MonomialOrder) -> bool:
@@ -397,10 +491,18 @@ def verify_buchberger_certificate(basis: list, order: MonomialOrder) -> bool:
     Pairs with coprime leads are skipped: their S-binomials always reduce
     to zero (Buchberger's first criterion), so the answer is the same.
     """
-    return all(
-        not f.mask & g.mask or normal_form(_s_binomial(f, g, order), basis, order) is None
-        for f, g in itertools.combinations(basis, 2)
-    )
+    def run(pk: _Packing) -> bool:
+        elements = [pk.element(g) for g in basis]
+        for (fl, fmove, fdd, _), (gl, gmove, gdd, _) in itertools.combinations(elements, 2):
+            m = pk.lcm(fl, gl)
+            if m == fl + gl:        # coprime leads
+                continue
+            d = m % pk.modulus
+            if pk.reduce(m + fmove, d + fdd, elements)[0] != pk.reduce(m + gmove, d + gdd, elements)[0]:
+                return False
+        return True
+
+    return _packed(order, basis, run)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from piercedcodes.piercing import (
     replay,
 )
 from piercedcodes.toric import (
+    Binomial,
     CodewordLexOrder,
     EliminationOrder,
     ListedLexOrder,
@@ -126,10 +127,12 @@ def _random_monomial(ring, rng, max_deg):
     lambda r: CodewordLexOrder(r),
     lambda r: WeightedGrevlexOrder(r, two_subset_weights),
     lambda r: ListedLexOrder(r, r.variables, ascending=True),
+    lambda r: WeightedGrevlexOrder(r, [0.1, 0.2, 0.3, 0.7, 0, 1.5, 0.25]),
 ])
 def test_monomial_order_axioms(make_order):
     ring = codeword_ring(FULL_3)
     order = make_order(ring)
+    packing = toric._Packing(order, 8)
     rng = random.Random(99)
     one = ring.one()
     for _ in range(1000):
@@ -138,6 +141,9 @@ def test_monomial_order_axioms(make_order):
         c = _random_monomial(ring, rng, 5)
         # totality and antisymmetry
         assert (a == b) == (order.sort_key(a) == order.sort_key(b))
+        # the packed key orders monomials as sort_key does
+        ka, kb = packing.key(packing.pack(a)), packing.key(packing.pack(b))
+        assert (ka > kb, ka == kb) == (order.sort_key(a) > order.sort_key(b), a == b)
         # multiplicativity: a > b implies a + c > b + c
         if order.greater(a, b):
             ac = tuple(x + y for x, y in zip(a, c))
@@ -146,6 +152,36 @@ def test_monomial_order_axioms(make_order):
         # 1 is the minimum
         if a != one:
             assert order.greater(a, one)
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_packed_word_operations_match_tuples(width):
+    ring = codeword_ring(FULL_3)
+    packing = toric._Packing(CodewordLexOrder(ring), width)
+    rng = random.Random(13)
+    n = len(ring.variables)
+
+    def monomial():
+        # a degree below 2^(width-1), the most a packing holds, split
+        # over a random support
+        support = rng.sample(range(n), rng.randint(0, n))
+        d = rng.randrange(packing.limit)
+        cuts = sorted(rng.randint(0, d) for _ in support[1:])
+        m = [0] * n
+        for i, lo, hi in zip(support, [0] + cuts, cuts + [d]):
+            m[i] = hi - lo
+        return tuple(m)
+
+    for _ in range(1000):
+        a, b = monomial(), monomial()
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(pa) == a
+        assert packing.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+        lcm = packing.lcm(pa, pb)
+        assert packing.unpack(lcm) == tuple(map(max, a, b))
+        # the lcm's degree, up to 2^width - 2, reads exactly as a residue
+        assert lcm % packing.modulus == sum(map(max, a, b))
+        assert (lcm == pa + pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def test_float_weights_give_a_monomial_order():
@@ -299,12 +335,15 @@ def _random_binomial_set(rng):
 
 def test_buchberger_matches_plain_oracle_on_random_binomials():
     rng = random.Random(24)
+    shuffle = random.Random(25)     # its own stream: the binomial sets stay as drawn
     shared = 0
     for trial in range(150):
         ring, pairs = _random_binomial_set(rng)
         n = len(ring.variables)
         orders = (MonomialOrder(ring, tuple(range(n))),
-                  MonomialOrder(ring, tuple(reversed(range(n))), ((1,) * n,), reverse=True))
+                  MonomialOrder(ring, tuple(reversed(range(n))), ((1,) * n,), reverse=True),
+                  WeightedGrevlexOrder(ring, [0.1, 0.2, 0.3, 0.7, 0.1, 0.2][:n]),
+                  MonomialOrder(ring, tuple(shuffle.sample(range(n), n))))
         gbs = []
         for order in orders:
             gens = [oriented(a, b, order) for a, b in pairs]
@@ -376,6 +415,44 @@ def test_degree_cap():
     msg = str(exc.value)
     assert msg.startswith("degree cap 2 exceeded after ")
     assert CAP_WORK.search(msg).groups() == ("0",) * 6
+
+
+DEGREE_CAP_60 = ("degree cap 60 exceeded after 0 S-pairs processed (cut: 0 coprime, "
+                 "0 by criterion B, 0 by criteria M/F), 0 zero reductions, peak basis size ")
+
+
+def test_degree_cap_reads_exact_degrees():
+    # degree 300: its fields fit in 7 bits, but the residue mod 255 reads 45
+    ring = PolyRing(tuple(range(4)))
+    order = MonomialOrder(ring, (0, 1, 2, 3))
+    g = Binomial((100, 100, 100, 0), (0, 0, 0, 1))
+    with pytest.raises(ResourceCapExceeded) as exc:
+        buchberger([g], order, max_degree=60)
+    assert str(exc.value) == DEGREE_CAP_60 + "0"
+    assert buchberger([g], order, max_degree=400) == [g] == plain_buchberger([g], order)
+
+
+def test_reduction_past_the_width_widens(monkeypatch):
+    # y0^3 - y2 reduces by y0 -> y1^50 to y1^150 - y2, past degree 127,
+    # the most 8-bit fields hold; the run starts again 16 bits wide
+    ring = PolyRing(tuple(range(3)))
+    order = MonomialOrder(ring, (0, 1, 2))
+    gens = [Binomial((1, 0, 0), (0, 50, 0)), Binomial((3, 0, 0), (0, 0, 1))]
+    widths = []
+
+    class Recorded(toric._Packing):
+        def __init__(self, order, width):
+            widths.append(width)
+            super().__init__(order, width)
+
+    monkeypatch.setattr(toric, "_Packing", Recorded)
+    with pytest.raises(ResourceCapExceeded) as exc:
+        buchberger(gens, order, max_degree=60)
+    assert str(exc.value) == DEGREE_CAP_60 + "1"
+    assert widths == [8, 16]
+    gb = buchberger(gens, order, max_degree=200)
+    assert gb == [Binomial((0, 150, 0), (0, 0, 1)), gens[0]] == plain_buchberger(gens, order)
+    assert normal_form(gens[1], gens[:1], order) == gb[0]
 
 
 def test_pair_cap_names_the_work_done():
