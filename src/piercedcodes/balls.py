@@ -27,6 +27,8 @@ from .piercing import BASE_CODE, PiercingSequence, first_word_outside, pierce
 
 # points classified at once by the sampling cross-check
 SAMPLE_BLOCK = 2**14
+# the smallest distance of a witness to a sphere that verification accepts
+WITNESS_TOLERANCE = 1e-9
 
 
 class BallConstructionError(Exception):
@@ -40,7 +42,6 @@ class BallRealization:
     centers: list
     radii: list
     witnesses: dict = field(default_factory=dict)
-    tolerance: float = 1e-9
 
     def pattern_at(self, x: np.ndarray) -> frozenset:
         # math.dist on float lists: numpy's per-call overhead dominates
@@ -74,7 +75,7 @@ class BallRealization:
             "dim": self.dim,
             "centers": [list(map(float, c)) for c in self.centers],
             "radii": [float(r) for r in self.radii],
-            "tolerance": self.tolerance,
+            "tolerance": WITNESS_TOLERANCE,
             "witnesses": {
                 word_str(c): list(map(float, w))
                 for c, w in sorted(self.witnesses.items(), key=lambda kv: sorted(kv[0]))
@@ -374,7 +375,7 @@ def verify_ball_realization(
         margins.append(real.witness_margin(c, np.asarray(w)))
     if margins:
         report["min_witness_margin"] = float(min(margins))
-        if min(margins) <= real.tolerance:
+        if min(margins) <= WITNESS_TOLERANCE:
             report["witnesses_ok"] = False
     if set(real.witnesses) != set(expected.words):
         report["witnesses_ok"] = False

@@ -1,6 +1,8 @@
 """Command-line front end; every subcommand emits a single JSON report.
 
-Exit codes: 0 success, 1 malformed input or a failed ball construction,
+Each subcommand's body returns its report and exit code, and
+``report_command`` writes the one and exits with the other.  Exit
+codes: 0 success, 1 malformed input or a failed ball construction,
 2 a checked property is false, 3 a resource cap was hit.  Reports are
 byte-identical across runs with the same flags; pass --timing to include
 wall-clock fields.
@@ -62,35 +64,11 @@ def _write(path, text):
         raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_BAD_INPUT)
 
 
-def _emit(report: dict, out):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out:
-        _write(out, text)
-    else:
-        # with no file, click caches a wrapper per stdout object and keeps
-        # each one alive, so in-process callers that redirect stdout leak
-        click.echo(text, file=sys.stdout)
-
-
 def _labels(text):
     labels = json.loads(text)
     if not (isinstance(labels, list) and all(type(i) is int for i in labels)):
         raise ValueError("expected a JSON list of integer neuron labels")
     return frozenset(labels)
-
-
-code_opts = [
-    click.option("--input", "input_path", type=click.Path(exists=True), default=None,
-                 help="JSON file with {\"neurons\": n, \"codewords\": [[..]]}"),
-    click.option("--code", "inline", default=None,
-                 help="inline JSON list of codewords, e.g. '[[],[1],[1,2]]'"),
-]
-
-
-def with_code_opts(f):
-    for opt in reversed(code_opts):
-        f = opt(f)
-    return f
 
 
 def _usage_error_exits_1(method):
@@ -127,13 +105,51 @@ def main():
     """Construct and certify inductively pierced neural codes."""
 
 
-@main.command()
-@with_code_opts
+def report_command(name=None, takes_code=False):
+    """Register a subcommand whose body returns (report, exit code).
+
+    The command takes --out, and with ``takes_code`` also --input and
+    --code, whose code the body gets as ``c``.  A resource cap that the
+    body hits becomes a ``resource_cap`` report with exit 3.
+    """
+
+    def register(body):
+        params = [
+            click.Option(["--input", "input_path"], type=click.Path(exists=True),
+                         help="JSON file with {\"neurons\": n, \"codewords\": [[..]]}"),
+            click.Option(["--code", "inline"],
+                         help="inline JSON list of codewords, e.g. '[[],[1],[1,2]]'"),
+        ] if takes_code else []
+        command = main.command(name=name, params=params)(body)
+        command.params.append(click.Option(["--out"]))
+
+        def run(out, input_path=None, inline=None, **kwargs):
+            if takes_code:
+                kwargs["c"] = _load_code(input_path, inline)
+            try:
+                report, exit_code = body(**kwargs)
+            except ResourceCapExceeded as exc:
+                report, exit_code = {"status": "resource_cap", "detail": str(exc)}, EXIT_RESOURCE
+            text = json.dumps(report, indent=2, sort_keys=True)
+            if out:
+                _write(out, text)
+            else:
+                # with no file, click caches a wrapper per stdout object and keeps
+                # each one alive, so in-process callers that redirect stdout leak
+                click.echo(text, file=sys.stdout)
+            if exit_code:
+                sys.exit(exit_code)
+
+        command.callback = run
+        return command
+
+    return register
+
+
+@report_command(takes_code=True)
 @click.option("--max-k", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--out", default=None)
-def analyze(input_path, inline, max_k, out):
+def analyze(c, max_k):
     """Canonical form, complexes, shelling, and piercedness of one code."""
-    c = _load_code(input_path, inline)
     cf = neural_ideal.canonical_form(c)
     delta = complexes.simplicial_complex_of(c)
     comps = complexes.connected_components(delta)
@@ -157,63 +173,49 @@ def analyze(input_path, inline, max_k, out):
         "inductively_pierced": seq is not None,
         "piercing_sequence": seq.to_json_dict() if seq is not None else None,
     }
-    _emit(report, out)
-    if not shelling_ok:
-        sys.exit(EXIT_VIOLATION)
+    return report, EXIT_OK if shelling_ok else EXIT_VIOLATION
 
 
-@main.command(name="pierce")
-@with_code_opts
+@report_command(name="pierce", takes_code=True)
 @click.option("--lam", required=True, help="JSON list, e.g. '[1,2]'")
 @click.option("--sigma", default="[]")
 @click.option("--tau", default="[]")
-@click.option("--out", default=None)
-def pierce_cmd(input_path, inline, lam, sigma, tau, out):
+def pierce_cmd(c, lam, sigma, tau):
     """Apply one piercing step to a code."""
-    c = _load_code(input_path, inline)
     try:
         step = PiercingStep(_labels(lam), _labels(sigma), _labels(tau))
         step.validate_for(c.n)
     except ValueError as exc:
         raise CliError(f"malformed step: {exc}", EXIT_BAD_INPUT)
     if not is_pierceable(c, step):
-        _emit({"pierceable": False, "code": str(c)}, out)
-        sys.exit(EXIT_VIOLATION)
+        return {"pierceable": False, "code": str(c)}, EXIT_VIOLATION
     result = pierce(c, step)
-    _emit(
-        {"pierceable": True, "result": result.to_json_dict(), "result_str": str(result)},
-        out,
-    )
+    report = {"pierceable": True, "result": result.to_json_dict(), "result_str": str(result)}
+    return report, EXIT_OK
 
 
-@main.command()
-@with_code_opts
+@report_command(takes_code=True)
 @click.option("--max-k", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--relabel", is_flag=True)
-@click.option("--out", default=None)
-def detect(input_path, inline, max_k, relabel, out):
+def detect(c, max_k, relabel):
     """Recover a piercing sequence, or report NotPierced."""
-    c = _load_code(input_path, inline)
     seq = recover_piercing_sequence(c, max_k, relabel)
     report = {
         "code": str(c),
         "status": "pierced" if seq is not None else "not_pierced",
         "sequence": seq.to_json_dict() if seq is not None else None,
     }
-    _emit(report, out)
+    return report, EXIT_OK
 
 
-@main.command(name="toric-gb")
-@with_code_opts
+@report_command(takes_code=True)
 @click.option("--order", "order_kind", type=click.Choice(["lex", "wgrevlex"]), default="lex")
 @click.option("--weights", default=None, help="JSON weight vector over the codeword ring")
 @click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True,
               help="cap on the S-pairs reduced, after the coprime and Gebauer-Moeller criteria")
 @click.option("--max-degree", type=click.IntRange(min=1), default=60, show_default=True)
-@click.option("--out", default=None)
-def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out):
+def toric_gb(c, order_kind, weights, max_pairs, max_degree):
     """Reduced Groebner basis of the toric ideal."""
-    c = _load_code(input_path, inline)
     if not any(c.words):
         raise CliError("malformed code input: no nonempty codeword", EXIT_BAD_INPUT)
     try:
@@ -226,27 +228,20 @@ def toric_gb(input_path, inline, order_kind, weights, max_pairs, max_degree, out
     except ValueError as exc:
         raise CliError(f"malformed weights: {exc}", EXIT_BAD_INPUT)
     ideal = toric.toric_ideal(c)
-    try:
-        gb = ideal.reduced_groebner_basis(order, max_pairs=max_pairs, max_degree=max_degree)
-    except ResourceCapExceeded as exc:
-        _emit({"status": "resource_cap", "detail": str(exc)}, out)
-        sys.exit(EXIT_RESOURCE)
-    _emit(
-        {
-            "code": str(c),
-            "order": order_kind,
-            "basis": [g.as_str(ideal.ring) for g in gb],
-            "max_degree": toric.gb_max_degree(gb),
-        },
-        out,
-    )
+    gb = ideal.reduced_groebner_basis(order, max_pairs=max_pairs, max_degree=max_degree)
+    report = {
+        "code": str(c),
+        "order": order_kind,
+        "basis": [g.as_str(ideal.ring) for g in gb],
+        "max_degree": toric.gb_max_degree(gb),
+    }
+    return report, EXIT_OK
 
 
-@main.command()
+@report_command()
 @click.option("--sub", required=True, help="inline JSON codeword list of the subcode")
 @click.option("--sup", required=True, help="inline JSON codeword list of the supercode")
-@click.option("--out", default=None)
-def nesting(sub, sup, out):
+def nesting(sub, sup):
     """Check toric-ideal containment for nested codes."""
     a = _load_code(None, sub)
     b = _load_code(None, sup)
@@ -254,13 +249,10 @@ def nesting(sub, sup, out):
         ok = toric.check_nesting(a, b)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
-    _emit({"sub": str(a), "sup": str(b), "nested_ideals": ok}, out)
-    if not ok:
-        sys.exit(EXIT_VIOLATION)
+    return {"sub": str(a), "sup": str(b), "nested_ideals": ok}, EXIT_OK if ok else EXIT_VIOLATION
 
 
-@main.command()
-@with_code_opts
+@report_command(takes_code=True)
 @click.option("--mode", type=click.Choice(["hyperplane", "ball"]), required=True)
 @click.option("--max-k", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=None,
@@ -270,16 +262,13 @@ def nesting(sub, sup, out):
               help="ball mode: seeds the --samples cross-check only")
 @click.option("--svg", "svg_path", default=None,
               help="write an SVG picture (2-D hyperplane arrangements only)")
-@click.option("--out", default=None)
-def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
+def realize(c, mode, max_k, samples, seed, svg_path):
     """Build and verify a geometric realization of a pierced code."""
     if svg_path and mode != "hyperplane":
         raise CliError("--svg is only available in hyperplane mode", EXIT_BAD_INPUT)
-    c = _load_code(input_path, inline)
     seq = recover_piercing_sequence(c, max_k, relabel=True)
     if seq is None:
-        _emit({"code": str(c), "status": "not_pierced"}, out)
-        sys.exit(EXIT_VIOLATION)
+        return {"code": str(c), "status": "not_pierced"}, EXIT_VIOLATION
     # the realization is built, and so checked, in construction labels
     built = NeuralCode(c.n, frozenset(map(seq.construction_word, c.words)))
     if mode == "hyperplane":
@@ -312,12 +301,10 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
         ok = rep["ok"]
     if seq.relabeling is not None:
         report["relabeling"] = list(seq.relabeling)
-    _emit(report, out)
-    if not ok:
-        sys.exit(EXIT_VIOLATION)
+    return report, EXIT_OK if ok else EXIT_VIOLATION
 
 
-@main.command(name="scan-conjecture")
+@report_command()
 @click.option("--max-n", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--max-k", type=click.IntRange(min=0), default=2, show_default=True)
 @click.option("--order", "order_kind", type=click.Choice(["lex", "wgrevlex"]), default="lex")
@@ -326,27 +313,19 @@ def realize(input_path, inline, mode, max_k, samples, seed, svg_path, out):
 @click.option("--max-degree", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--timing", is_flag=True, help="include wall-clock fields in the report")
-@click.option("--out", default=None)
-def scan_conjecture(max_n, max_k, order_kind, max_pairs, max_degree, jobs, timing, out):
+def scan_conjecture(max_n, max_k, order_kind, max_pairs, max_degree, jobs, timing):
     """Max GB degree under the chosen order for every enumerated pierced code."""
-    try:
-        report = toric.conjecture_scan(
-            max_n, max_k, order_kind, max_pairs=max_pairs, max_degree=max_degree,
-            jobs=jobs, timing=timing,
-        )
-    except ResourceCapExceeded as exc:
-        _emit({"status": "resource_cap", "detail": str(exc)}, out)
-        sys.exit(EXIT_RESOURCE)
-    _emit(report, out)
+    report = toric.conjecture_scan(
+        max_n, max_k, order_kind, max_pairs=max_pairs, max_degree=max_degree,
+        jobs=jobs, timing=timing,
+    )
     if report["violations"]:
-        sys.exit(EXIT_VIOLATION)
-    if report["skipped"]:
-        sys.exit(EXIT_RESOURCE)
+        return report, EXIT_VIOLATION
+    return report, EXIT_RESOURCE if report["skipped"] else EXIT_OK
 
 
-@main.command()
-@click.option("--out", default=None)
-def counterexample(out):
+@report_command()
+def counterexample():
     """The shelling-order lex counterexample code, end to end."""
     words = [
         [1, 3, 4], [1, 3], [3], [], [1], [1, 2], [3, 4], [2, 3, 4],
@@ -358,9 +337,9 @@ def counterexample(out):
     ideal = toric.toric_ideal(h)
     directions = {}
     matched = None
-    for ascending in (True, False):
-        order = toric.ListedLexOrder(ideal.ring, listing, ascending=ascending)
-        gb = ideal.reduced_groebner_basis(order)
+    for key, ranked in (("last_listed_most_significant", listing),
+                        ("first_listed_most_significant", listing[::-1])):
+        gb = ideal.reduced_groebner_basis(toric.ListedLexOrder(ideal.ring, ranked))
         cubics = [g.as_str(ideal.ring) for g in gb if g.degree == 3]
         entry = {
             "basis_size": len(gb),
@@ -368,7 +347,6 @@ def counterexample(out):
             "cubics": cubics,
             "basis": [g.as_str(ideal.ring) for g in gb],
         }
-        key = "last_listed_most_significant" if ascending else "first_listed_most_significant"
         directions[key] = entry
         if entry["max_degree"] == 3 and len(cubics) == 2 and matched is None:
             matched = key
@@ -379,9 +357,7 @@ def counterexample(out):
         "directions": directions,
         "direction_reproducing_cubics": matched,
     }
-    _emit(report, out)
-    if matched is None:
-        sys.exit(EXIT_VIOLATION)
+    return report, EXIT_OK if matched is not None else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

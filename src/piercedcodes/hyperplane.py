@@ -318,10 +318,11 @@ def verify_hyperplane_realization(r: HyperplaneRealization, expected: NeuralCode
     return True, None
 
 
-def arrangement_svg(r: HyperplaneRealization, size: int = 400) -> str:
+def arrangement_svg(r: HyperplaneRealization) -> str:
     """Plain SVG picture of a 2-D arrangement: bound, lines, witnesses."""
     if r.dim != 2:
         raise ValueError("SVG export is only available for 2-D realizations")
+    size = 400
     xs = [float(v[0]) for v in r.bound_vertices]
     ys = [float(v[1]) for v in r.bound_vertices]
     pad = 0.25

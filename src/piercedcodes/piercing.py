@@ -144,8 +144,8 @@ def first_word_outside(words: frozenset, tips) -> Optional[frozenset]:
     return None
 
 
-def replay(seq: PiercingSequence, base: NeuralCode = BASE_CODE) -> NeuralCode:
-    c = base
+def replay(seq: PiercingSequence) -> NeuralCode:
+    c = BASE_CODE
     for step in seq:
         c = pierce(c, step)
     return c
@@ -233,15 +233,25 @@ def recover_piercing_sequence(
     return PiercingSequence(steps, relabeling)
 
 
-def _partitions(n: int, max_k: int) -> Iterator[PiercingStep]:
-    neurons = list(range(1, n + 1))
-    for assignment in itertools.product((0, 1, 2), repeat=n):
-        lam = frozenset(i for i, a in zip(neurons, assignment) if a == 0)
-        if len(lam) > max_k:
-            continue
-        sigma = frozenset(i for i, a in zip(neurons, assignment) if a == 1)
-        tau = frozenset(i for i, a in zip(neurons, assignment) if a == 2)
-        yield PiercingStep(lam, sigma, tau)
+def _steps(code: NeuralCode, max_k: int) -> list:
+    """Every step with |lambda| <= max_k that can pierce ``code``.
+
+    sigma ∪ nu is a codeword for every nu ⊆ lambda, so sigma is one, and
+    lambda is drawn from the i with sigma ∪ {i} a codeword; a lambda is
+    kept when the whole interval [sigma, sigma ∪ lambda] lies in the
+    code.  Steps come in the order of their assignments (i in sigma) +
+    2 (i in tau) over i = 1..n, read as words over {0, 1, 2}.
+    """
+    neurons = frozenset(range(1, code.n + 1))
+    steps = []
+    for sigma in code.words:
+        free = sorted(i for i in neurons - sigma if sigma | {i} in code.words)
+        for r in range(min(max_k, len(free)) + 1):
+            for lam in map(frozenset, itertools.combinations(free, r)):
+                if all(sigma | nu in code.words for nu in _subsets(lam)):
+                    steps.append(PiercingStep(lam, sigma, neurons - sigma - lam))
+    steps.sort(key=lambda s: [(i in s.sigma) + 2 * (i in s.tau) for i in range(1, code.n + 1)])
+    return steps
 
 
 def enumerate_pierced_codes(
@@ -265,9 +275,7 @@ def enumerate_pierced_codes(
         current, seq = frontier.popleft()
         if current.n >= max_n:
             continue
-        for step in _partitions(current.n, max_k):
-            if not is_pierceable(current, step):
-                continue
+        for step in _steps(current, max_k):
             nxt = pierce(current, step)
             count += 1
             if count > max_codes:

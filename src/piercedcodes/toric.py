@@ -141,16 +141,16 @@ def CodewordLexOrder(ring: PolyRing) -> MonomialOrder:
     return ListedLexOrder(ring, sorted(ring.variables, key=word_key))
 
 
-def ListedLexOrder(ring: PolyRing, listing: Iterable, ascending: bool = True) -> MonomialOrder:
+def ListedLexOrder(ring: PolyRing, listing: Iterable) -> MonomialOrder:
     """Lex induced by an explicit listing of the ring's codewords.
 
-    ``ascending=True`` ranks the last-listed codeword's variable most
-    significant (the orientation consistent with the codeword-order
-    lex); ``ascending=False`` flips it.
+    The last-listed codeword's variable is most significant (the
+    orientation consistent with the codeword-order lex); the reversed
+    listing gives the opposite lex.
     """
     pos = {c: i for i, c in enumerate(listing)}
     significance = sorted(range(len(ring.variables)),
-                          key=lambda i: pos[ring.variables[i]], reverse=ascending)
+                          key=lambda i: pos[ring.variables[i]], reverse=True)
     return MonomialOrder(ring, tuple(significance))
 
 

@@ -205,9 +205,7 @@ def test_criterion_6_homogenized_counterexample():
     c = code(4, *words)
     h = homogenize_with_dummy(c)
     ideal = toric_ideal(h)
-    order = ListedLexOrder(
-        ideal.ring, [frozenset(w) | {0} for w in words], ascending=True
-    )
+    order = ListedLexOrder(ideal.ring, [frozenset(w) | {0} for w in words])
     gb = ideal.reduced_groebner_basis(order)
     cubics = [g for g in gb if g.degree == 3]
     ok = gb_max_degree(gb) == 3 and len(cubics) == 2

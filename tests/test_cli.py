@@ -15,9 +15,10 @@ import pytest
 from click.testing import CliRunner
 
 import piercedcodes
-from piercedcodes import balls
+from piercedcodes import balls, toric
 from piercedcodes.balls import BallConstructionError
 from piercedcodes.cli import main
+from piercedcodes.piercing import ResourceCapExceeded
 
 FIG = "[[],[1],[1,2],[2],[1,3],[1,2,3]]"
 # pierced, but not in construction labels: {{}, 1, 2, 12, 23, 123} with
@@ -465,8 +466,35 @@ def test_counterexample(runner):
     assert entry["basis_size"] == 17
 
 
-def test_out_flag_writes_file(runner, tmp_path):
+@pytest.mark.parametrize("args", [
+    ["analyze", "--code", TWO],
+    ["pierce", "--code", TWO, "--lam", "[2]", "--sigma", "[1]"],
+    ["detect", "--code", TWO],
+    ["toric-gb", "--code", TWO],
+    ["nesting", "--sub", TWO, "--sup", FIG],
+    ["realize", "--code", TWO, "--mode", "hyperplane"],
+    ["scan-conjecture", "--max-n", "2"],
+    ["counterexample"],
+], ids=lambda args: args[0])
+def test_out_flag_writes_file(runner, tmp_path, args):
+    printed = run(runner, *args)
     out = tmp_path / "report.json"
-    res = run(runner, "detect", "--code", TWO, "--out", str(out))
-    assert res.exit_code == 0
-    assert json.loads(out.read_text())["status"] == "pierced"
+    res = run(runner, *args, "--out", str(out))
+    assert res.exit_code == printed.exit_code == 0
+    assert res.output == ""
+    assert out.read_text() == printed.output
+
+
+@pytest.mark.parametrize("args", [
+    ["nesting", "--sub", TWO, "--sup", FIG],
+    ["counterexample"],
+], ids=lambda args: args[0])
+def test_basis_resource_cap_exit_3(runner, monkeypatch, args):
+    def capped(self, *a, **kw):
+        raise ResourceCapExceeded("more than 1 S-pairs reduced")
+
+    monkeypatch.setattr(toric.ToricIdeal, "reduced_groebner_basis", capped)
+    res = run(runner, *args)
+    assert res.exit_code == 3
+    assert json.loads(res.output) == {"status": "resource_cap",
+                                      "detail": "more than 1 S-pairs reduced"}

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from piercedcodes import toric
+from piercedcodes import piercing, toric
 from piercedcodes.codes import NeuralCode, code, word
 from piercedcodes.piercing import (
     BASE_CODE,
@@ -334,17 +335,52 @@ def test_enumeration_dedup(pierced_n4_k3):
 
 
 def test_enumeration_reaches_each_code_once():
-    # a child's parent and step are read off its words, so counting
-    # (frontier code, admissible step) pairs counts distinct children
+    # a child's parent and step are read off its words, so the children
+    # of distinct (frontier code, admissible step) pairs are distinct;
+    # the oracle below yields one child per pair
     codes = list(enumerate_pierced_codes(5, 4))
-    pairs = 0
-    for c, _ in codes:
-        if c.n < 5:
-            for blocks in itertools.product((0, 1, 2), repeat=c.n):
-                s = step(*([i for i, b in zip(c.neurons, blocks) if b == part] for part in range(3)))
-                pairs += is_pierceable(c, s)
     children = {(c.n, c.words) for c, _ in codes if c.n > 1}
-    assert pairs == len(children) == len(codes) - 1
+    assert len(children) == len(codes) - 1
+
+
+def _enumeration_oracle(max_n, max_k):
+    """Breadth-first closure that tries all 3^n (lambda, sigma, tau)
+    assignments on every frontier code, in itertools.product order."""
+    found = [(BASE_CODE, PiercingSequence())]
+    frontier = deque(found)
+    while frontier:
+        current, seq = frontier.popleft()
+        if current.n >= max_n:
+            continue
+        for blocks in itertools.product((0, 1, 2), repeat=current.n):
+            s = step(*([i for i, b in zip(current.neurons, blocks) if b == part]
+                       for part in range(3)))
+            if s.degree <= max_k and is_pierceable(current, s):
+                child = (pierce(current, s), PiercingSequence(seq.steps + (s,)))
+                found.append(child)
+                frontier.append(child)
+    return found
+
+
+@pytest.mark.parametrize("max_k", range(5))
+def test_enumeration_matches_3n_oracle(max_k):
+    # codes come level by level, so the n=5 list starts with each shorter one
+    codes = list(enumerate_pierced_codes(5, max_k))
+    assert codes == _enumeration_oracle(5, max_k)
+    for n in range(1, 5):
+        assert list(enumerate_pierced_codes(n, max_k)) == [x for x in codes if x[0].n <= n]
+
+
+def test_enumeration_tests_each_child_once(monkeypatch):
+    calls = []
+
+    def counted(code, s):
+        calls.append(s)
+        return is_pierceable(code, s)
+
+    monkeypatch.setattr(piercing, "is_pierceable", counted)
+    codes = list(enumerate_pierced_codes(5, 2))
+    assert len(calls) == len(codes) - 1 == 4230
 
 
 def test_enumeration_resource_cap():
