@@ -1,6 +1,6 @@
 """Inductively pierced neural codes: construction, certification, and realization."""
 
-from .codes import NeuralCode, code, restrict, word
+from .codes import NeuralCode, code, word
 from .piercing import (
     PiercingSequence,
     PiercingStep,
@@ -14,7 +14,6 @@ from .piercing import (
 __all__ = [
     "NeuralCode",
     "code",
-    "restrict",
     "word",
     "PiercingStep",
     "PiercingSequence",

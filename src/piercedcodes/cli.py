@@ -109,7 +109,8 @@ def report_command(name=None, takes_code=False):
     """Register a subcommand whose body returns (report, exit code).
 
     The command takes --out, and with ``takes_code`` also --input and
-    --code, whose code the body gets as ``c``.  A resource cap that the
+    --code, whose code the body gets as ``c``.  The code loads first,
+    then --out is checked, then the body runs.  A resource cap that the
     body hits becomes a ``resource_cap`` report with exit 3.
     """
 
@@ -126,6 +127,14 @@ def report_command(name=None, takes_code=False):
         def run(out, input_path=None, inline=None, **kwargs):
             if takes_code:
                 kwargs["c"] = _load_code(input_path, inline)
+            if out:
+                # an unwritable path fails before the body runs; appending keeps an
+                # existing file's bytes, and _write, not a truncate, replaces them later,
+                # since a pipe (--out /dev/stdout) cannot be truncated
+                try:
+                    open(out, "a").close()
+                except OSError as exc:
+                    raise CliError(f"cannot write {out}: {exc.strerror}", EXIT_BAD_INPUT)
             try:
                 report, exit_code = body(**kwargs)
             except ResourceCapExceeded as exc:

@@ -13,7 +13,6 @@ variables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -96,13 +95,6 @@ class NeuralCode:
             raise ValueError(f"neuron count {n!r} is not an integer")
         return cls(n, frozenset(frozenset(w) for w in d["codewords"]))
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, s: str) -> "NeuralCode":
-        return cls.from_json_dict(json.loads(s))
-
     def __str__(self) -> str:
         return "{" + ",".join(word_str(w) for w in self.sorted_words()) + "}"
 
@@ -111,15 +103,3 @@ def code(n: int, *words_: Iterable[int]) -> NeuralCode:
     """Convenience constructor: code(2, [], [1], [1, 2])."""
     return NeuralCode(n, frozenset(frozenset(w) for w in words_))
 
-
-def restrict(c: NeuralCode, drop: int) -> NeuralCode:
-    """Remove every codeword containing neuron ``drop``.
-
-    Surviving codewords keep their labels; the neuron count decreases
-    only when the dropped neuron is the last one.
-    """
-    if not (1 <= drop <= c.n):
-        raise ValueError(f"neuron {drop} out of range 1..{c.n}")
-    kept = frozenset(w for w in c.words if drop not in w)
-    new_n = c.n - 1 if drop == c.n else c.n
-    return NeuralCode(new_n, kept)

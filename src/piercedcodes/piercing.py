@@ -58,10 +58,6 @@ class PiercingStep:
             "tau": sorted(self.tau),
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PiercingStep":
-        return cls(frozenset(d["lambda"]), frozenset(d["sigma"]), frozenset(d["tau"]))
-
 
 @dataclass(frozen=True)
 class PiercingSequence:
@@ -99,12 +95,6 @@ class PiercingSequence:
         if self.relabeling is not None:
             d["relabeling"] = list(self.relabeling)
         return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PiercingSequence":
-        steps = tuple(PiercingStep.from_json_dict(s) for s in d["steps"])
-        relab = tuple(d["relabeling"]) if "relabeling" in d else None
-        return cls(steps, relab)
 
 
 BASE_CODE = NeuralCode(1, frozenset({frozenset(), frozenset({1})}))

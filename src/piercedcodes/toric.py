@@ -74,9 +74,6 @@ class PolyRing:
             exps[self._index[v]] += e
         return tuple(exps)
 
-    def one(self) -> tuple:
-        return (0,) * len(self.variables)
-
     def monomial_str(self, m: tuple) -> str:
         parts = []
         for v, e in zip(self.variables, m):
@@ -569,33 +566,24 @@ def gb_max_degree(gb: list) -> int:
     return max((g.degree for g in gb), default=0)
 
 
-def binomial_from_words(
-    ring: PolyRing, order: MonomialOrder, plus: Iterable, minus: Iterable
-) -> Optional[Binomial]:
-    """Binomial y_{plus...} - y_{minus...} from codeword multisets."""
-    a = ring.monomial(Counter(frozenset(c) for c in plus))
-    b = ring.monomial(Counter(frozenset(c) for c in minus))
-    return oriented(a, b, order)
-
-
 def check_nesting(sub: NeuralCode, sup: NeuralCode) -> bool:
-    """Every generator of the smaller code's toric ideal lies in the larger's."""
+    """Every generator of the smaller code's toric ideal lies in the larger's.
+
+    Membership is decided by the monomial map, so no basis of the larger
+    code is computed.  For C a subset of D, D's map restricted to C's
+    variables is C's own map, and a pure-difference binomial y^u - y^v
+    lies in I_D, the kernel of D's map, exactly when its two sides have
+    the same image: the image x^a - x^b is zero only when a = b.  So
+    every element of I_C lies in I_D, and the answer is false only when
+    the engine returns a basis element of I_C outside the kernel.
+    """
     if not sub.words <= sup.words:
         raise ValueError("first code must be a subset of the second")
     if not any(sub.words):
         return True
     isub = toric_ideal(sub)
-    isup = toric_ideal(sup)
-    order = CodewordLexOrder(isup.ring)
-    gb = isup.reduced_groebner_basis(order)
-
-    def embed(m: tuple) -> tuple:
-        return isup.ring.monomial(dict(zip(isub.ring.variables, m)))
-
-    return all(
-        normal_form(oriented(embed(g.lead), embed(g.trail), order), gb, order) is None
-        for g in isub.reduced_groebner_basis(CodewordLexOrder(isub.ring))
-    )
+    return all(in_kernel(g, isub.ring)
+               for g in isub.reduced_groebner_basis(CodewordLexOrder(isub.ring)))
 
 
 def homogenize_with_dummy(code: NeuralCode) -> NeuralCode:
@@ -607,18 +595,21 @@ def homogenize_with_dummy(code: NeuralCode) -> NeuralCode:
 # conjecture scan
 
 
-def _scan_code(code_: NeuralCode, order_kind: str, max_pairs: int, max_degree: int,
-               timing: bool) -> tuple:
-    """(gb degree, None, ms) or (None, skip reason, ms) for one code; ms only if timing."""
-    t0 = time.perf_counter() if timing else None
-    reason = None
+def _scan_entry(pair: tuple, order_kind: str, max_pairs: int, max_degree: int,
+                timing: bool) -> dict:
+    """The report entry of one enumerated (code, sequence) pair."""
+    t0 = time.perf_counter()
+    code_, seq = pair
+    entry = {"code": str(code_), "n": code_.n, "k": seq.degree, "size": len(code_.words)}
     try:
         ideal = toric_ideal(code_)
-        order = order_for(ideal.ring, order_kind)
-        deg = gb_max_degree(ideal.reduced_groebner_basis(order, max_pairs, max_degree))
+        gb = ideal.reduced_groebner_basis(order_for(ideal.ring, order_kind), max_pairs, max_degree)
+        entry.update(gb_degree=gb_max_degree(gb), status="ok")
     except ResourceCapExceeded as exc:
-        deg, reason = None, str(exc)
-    return deg, reason, round((time.perf_counter() - t0) * 1000, 3) if timing else None
+        entry.update(status="skipped", reason=str(exc))
+    if timing:
+        entry["time_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+    return entry
 
 
 def conjecture_scan(
@@ -640,32 +631,16 @@ def conjecture_scan(
     wall-clock fields ``time_ms`` per code and ``total_time_ms``.
     """
     t_start = time.perf_counter()
-    enumerated = list(enumerate_pierced_codes(max_n, max_k))
-    codes = [c for c, _ in enumerated]
-    work = partial(_scan_code, order_kind=order_kind, max_pairs=max_pairs,
+    pairs = enumerate_pierced_codes(max_n, max_k)
+    work = partial(_scan_entry, order_kind=order_kind, max_pairs=max_pairs,
                    max_degree=max_degree, timing=timing)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, codes, chunksize=8))
+            results = list(pool.map(work, pairs, chunksize=8))
     else:
-        outcomes = list(map(work, codes))
-    results = []
-    for (code_, seq), (deg, reason, t_ms) in zip(enumerated, outcomes):
-        entry = {
-            "code": str(code_),
-            "n": code_.n,
-            "k": seq.degree,
-            "size": len(code_.words),
-        }
-        if reason is None:
-            entry.update(gb_degree=deg, status="ok")
-        else:
-            entry.update(status="skipped", reason=reason)
-        if timing:
-            entry["time_ms"] = t_ms
-        results.append(entry)
+        results = list(map(work, pairs))
     ok = [e for e in results if e["status"] == "ok"]
     report = {
         "max_n": max_n,

@@ -1,6 +1,7 @@
 """Shared fixtures: named example codes and cached enumerations."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from piercedcodes.piercing import (
     is_pierceable,
     pierce,
 )
+from piercedcodes.toric import oriented
 
 # two 1-piercings of the base code: first the background-free one, then
 # lambda={2}, sigma={1}
@@ -23,6 +25,13 @@ SORT_EXAMPLE = code(3, [], [1], [1, 2], [2], [1, 2, 3], [2, 3])
 FULL_3 = code(3, [], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])
 
 CUBIC_CODE = code(3, [], [1], [2], [3], [1, 2, 3])
+
+
+def binomial_from_words(ring, order, plus, minus):
+    """Binomial y_{plus...} - y_{minus...} from codeword multisets."""
+    a = ring.monomial(Counter(frozenset(c) for c in plus))
+    b = ring.monomial(Counter(frozenset(c) for c in minus))
+    return oriented(a, b, order)
 
 
 def pm_divides(p, q):

@@ -376,6 +376,17 @@ def test_nesting(runner):
     assert json.loads(res.output)["nested_ideals"]
 
 
+def test_nesting_basis_outside_kernel_exit_2(runner, monkeypatch):
+    def outside(self, order, *a, **kw):
+        y1, y2 = (self.ring.monomial({frozenset({i}): 1}) for i in (1, 2))
+        return [toric.oriented(y1, y2, order)]
+
+    monkeypatch.setattr(toric.ToricIdeal, "reduced_groebner_basis", outside)
+    res = run(runner, "nesting", "--sub", TWO, "--sup", FIG)
+    assert res.exit_code == 2
+    assert json.loads(res.output)["nested_ideals"] is False
+
+
 def test_realize_hyperplane(runner, tmp_path):
     svg = tmp_path / "arr.svg"
     res = run(runner, "realize", "--code", TWO, "--mode", "hyperplane",
@@ -466,7 +477,7 @@ def test_counterexample(runner):
     assert entry["basis_size"] == 17
 
 
-@pytest.mark.parametrize("args", [
+EVERY_SUBCOMMAND = pytest.mark.parametrize("args", [
     ["analyze", "--code", TWO],
     ["pierce", "--code", TWO, "--lam", "[2]", "--sigma", "[1]"],
     ["detect", "--code", TWO],
@@ -476,6 +487,9 @@ def test_counterexample(runner):
     ["scan-conjecture", "--max-n", "2"],
     ["counterexample"],
 ], ids=lambda args: args[0])
+
+
+@EVERY_SUBCOMMAND
 def test_out_flag_writes_file(runner, tmp_path, args):
     printed = run(runner, *args)
     out = tmp_path / "report.json"
@@ -483,6 +497,28 @@ def test_out_flag_writes_file(runner, tmp_path, args):
     assert res.exit_code == printed.exit_code == 0
     assert res.output == ""
     assert out.read_text() == printed.output
+
+
+@EVERY_SUBCOMMAND
+def test_unwritable_out_fails_before_the_body(runner, tmp_path, monkeypatch, args):
+    def scan(*a, **kw):
+        raise AssertionError("the scan ran before --out was checked")
+
+    monkeypatch.setattr(toric, "conjecture_scan", scan)
+    out = tmp_path / "missing" / "x.json"
+    res = run(runner, *args, "--out", str(out))
+    assert res.exit_code == 1
+    assert res.output == f"Error: cannot write {out}: No such file or directory\n"
+
+
+def test_failed_body_keeps_out_file(runner, tmp_path):
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_bytes(b"earlier report\n")
+    for out in (kept, new):
+        res = run(runner, "pierce", "--code", TWO, "--lam", "[9]", "--out", str(out))
+        assert res.exit_code == 1
+    assert kept.read_bytes() == b"earlier report\n"
+    assert new.read_bytes() == b""
 
 
 @pytest.mark.parametrize("args", [

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from piercedcodes.codes import (
     NeuralCode,
     code,
-    restrict,
     word,
     word_key,
     word_str,
@@ -90,7 +89,7 @@ def test_word_str():
 
 def test_json_roundtrip():
     c = code(4, [], [1, 4], [2, 3])
-    assert NeuralCode.loads(c.dumps()) == c
+    assert NeuralCode.from_json_dict(c.to_json_dict()) == c
     d = c.to_json_dict()
     assert d["neurons"] == 4
     assert d["codewords"][0] == []
@@ -105,12 +104,3 @@ def test_validation():
         NeuralCode(64)
     # the homogenizing dummy neuron 0 is allowed
     NeuralCode(2, frozenset({frozenset({0, 1})}))
-
-
-def test_restrict():
-    c = code(3, [], [1], [1, 2], [2], [1, 3], [1, 2, 3])
-    assert restrict(c, 3) == code(2, [], [1], [1, 2], [2])
-    kept = restrict(c, 2)
-    assert kept.n == 3 and word([1, 3]) in kept and word([1, 2]) not in kept
-    with pytest.raises(ValueError):
-        restrict(c, 4)

@@ -25,7 +25,6 @@ from piercedcodes.toric import (
     PolyRing,
     ResourceCapExceeded,
     WeightedGrevlexOrder,
-    binomial_from_words,
     buchberger,
     check_nesting,
     codeword_ring,
@@ -42,7 +41,7 @@ from piercedcodes.toric import (
     two_subset_weights,
     verify_buchberger_certificate,
 )
-from .conftest import CUBIC_CODE, FULL_3, seeded_pierced
+from .conftest import CUBIC_CODE, FULL_3, binomial_from_words, seeded_pierced
 from .plain_buchberger import plain_buchberger
 
 C4 = code(2, [], [1], [2], [1, 2])
@@ -134,7 +133,7 @@ def test_monomial_order_axioms(make_order):
     order = make_order(ring)
     packing = toric._Packing(order, 8)
     rng = random.Random(99)
-    one = ring.one()
+    one = (0,) * len(ring.variables)
     for _ in range(1000):
         a = _random_monomial(ring, rng, 5)
         b = _random_monomial(ring, rng, 5)
@@ -510,6 +509,20 @@ def test_nesting_examples():
     assert check_nesting(sub, sup)
     with pytest.raises(ValueError):
         check_nesting(code(2, [1, 2]), code(2, [], [1]))
+
+
+def test_nesting_computes_only_the_subcode_basis(monkeypatch):
+    rings = []
+    compute = toric.ToricIdeal.reduced_groebner_basis
+
+    def recorded(self, *args, **kwargs):
+        rings.append(self.ring)
+        return compute(self, *args, **kwargs)
+
+    monkeypatch.setattr(toric.ToricIdeal, "reduced_groebner_basis", recorded)
+    sub = code(3, [], [1], [2], [1, 2], [3], [1, 3])
+    assert check_nesting(sub, FULL_3)
+    assert rings == [codeword_ring(sub)]
 
 
 def test_homogenization():
