@@ -124,40 +124,36 @@ def build_ball_realization(seq: PiercingSequence, seed: int | None = None) -> Ba
     it is accepted for callers that still pass one.  Radii strictly
     decrease along the construction so a new ball can never swallow an
     older one; each new radius is additionally bisected down until every
-    existing witness stays outside it.
+    existing witness stays outside it.  Each witness is tested once, when
+    it is placed; ``verify_ball_realization`` is the certificate.
     """
     dim = max(1, seq.degree + 1)
-    centers = [np.zeros(dim)]
-    radii = [1.0]
     witnesses = {frozenset(): np.full(dim, 2.0), frozenset({1}): np.zeros(dim)}
+    real = BallRealization(dim, [np.zeros(dim)], [1.0], witnesses)
     # lams[i - 1]: the spheres that ball i's centre lies on
     lams = [frozenset()] + [step.lam for step in seq]
     code = BASE_CODE
 
     for step in seq:
         code = pierce(code, step)
-        real = BallRealization(dim, centers, radii, witnesses)
         p = _piercing_point(real, step, lams)
         for i in sorted(step.lam):
-            if abs(np.linalg.norm(p - centers[i - 1]) - radii[i - 1]) > 1e-7:
+            if abs(np.linalg.norm(p - real.centers[i - 1]) - real.radii[i - 1]) > 1e-7:
                 raise BallConstructionError("piercing point drifted off a sphere")
         r_new = _choose_radius(real, step, p)
-        new_index = code.n
-        witnesses = {**witnesses, **_new_atom_witnesses(real, step, p, r_new, new_index)}
+        witnesses.update(_new_atom_witnesses(real, step, p, r_new, code.n))
+        real.centers.append(p)
+        real.radii.append(r_new)
         if not step.lam:
-            # the sigma-witness is the new centre; every sphere is at
-            # least 2 r_new from it, so 1.5 r_new keeps its pattern
-            witnesses[step.sigma] = p + 1.5 * r_new * np.eye(dim)[0]
-        centers = centers + [p]
-        radii = radii + [r_new]
-        # re-certify everything at this level before continuing
-        level = BallRealization(dim, centers, radii, witnesses)
-        for c in code.words:
-            if level.pattern_at(witnesses[c]) != c:
+            # the sigma-witness was the new centre; moved 1.5 r_new off it, it
+            # is the one point that no earlier test covers
+            moved = p + 1.5 * r_new * np.eye(dim)[0]
+            if real.pattern_at(moved) != step.sigma:
                 raise BallConstructionError(
-                    f"witness for {sorted(c)} lost after adding ball {new_index}"
+                    f"witness for {sorted(step.sigma)} lost after adding ball {code.n}"
                 )
-    return BallRealization(dim, centers, radii, witnesses)
+            witnesses[step.sigma] = moved
+    return real
 
 
 def _directions(centers, at: np.ndarray, idx: list, signs: list) -> np.ndarray:

@@ -28,12 +28,6 @@ from .piercing import (
 EXIT_OK, EXIT_BAD_INPUT, EXIT_VIOLATION, EXIT_RESOURCE = 0, 1, 2, 3
 
 
-class CliError(click.ClickException):
-    def __init__(self, message, exit_code):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 def _load_code(input_path, inline):
     try:
         if inline is not None:
@@ -46,14 +40,19 @@ def _load_code(input_path, inline):
             with open(input_path) as fh:
                 c = NeuralCode.from_json_dict(json.load(fh))
         else:
-            raise CliError("provide --input or --code", EXIT_BAD_INPUT)
+            raise click.ClickException("provide --input or --code")
         if not c.words:
             raise ValueError("the code has no codewords")
         if any(0 in w for w in c.words):
             raise ValueError("neuron labels must be 1 or more")
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"malformed code input: {exc}", EXIT_BAD_INPUT)
+        raise click.ClickException(f"malformed code input: {exc}")
     return c
+
+
+def _inline_code(ctx, param, text):
+    """Click callback: an inline code loads as the command line is parsed."""
+    return None if text is None else _load_code(None, text)
 
 
 def _write(path, text):
@@ -61,7 +60,7 @@ def _write(path, text):
         with open(path, "w") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_BAD_INPUT)
+        raise click.ClickException(f"cannot write {path}: {exc.strerror}")
 
 
 def _labels(text):
@@ -109,16 +108,17 @@ def report_command(name=None, takes_code=False):
     """Register a subcommand whose body returns (report, exit code).
 
     The command takes --out, and with ``takes_code`` also --input and
-    --code, whose code the body gets as ``c``.  The code loads first,
-    then --out is checked, then the body runs.  A resource cap that the
-    body hits becomes a ``resource_cap`` report with exit 3.
+    --code, whose code the body gets as ``c``.  An inline code loads as
+    the command line is parsed, an --input file only without --code; then
+    --out is checked, then the body runs.  A resource cap that the body
+    hits becomes a ``resource_cap`` report with exit 3.
     """
 
     def register(body):
         params = [
             click.Option(["--input", "input_path"], type=click.Path(exists=True),
                          help="JSON file with {\"neurons\": n, \"codewords\": [[..]]}"),
-            click.Option(["--code", "inline"],
+            click.Option(["--code", "inline"], callback=_inline_code,
                          help="inline JSON list of codewords, e.g. '[[],[1],[1,2]]'"),
         ] if takes_code else []
         command = main.command(name=name, params=params)(body)
@@ -126,7 +126,7 @@ def report_command(name=None, takes_code=False):
 
         def run(out, input_path=None, inline=None, **kwargs):
             if takes_code:
-                kwargs["c"] = _load_code(input_path, inline)
+                kwargs["c"] = inline if inline is not None else _load_code(input_path, None)
             if out:
                 # an unwritable path fails before the body runs; appending keeps an
                 # existing file's bytes, and _write, not a truncate, replaces them later,
@@ -134,7 +134,7 @@ def report_command(name=None, takes_code=False):
                 try:
                     open(out, "a").close()
                 except OSError as exc:
-                    raise CliError(f"cannot write {out}: {exc.strerror}", EXIT_BAD_INPUT)
+                    raise click.ClickException(f"cannot write {out}: {exc.strerror}")
             try:
                 report, exit_code = body(**kwargs)
             except ResourceCapExceeded as exc:
@@ -195,7 +195,7 @@ def pierce_cmd(c, lam, sigma, tau):
         step = PiercingStep(_labels(lam), _labels(sigma), _labels(tau))
         step.validate_for(c.n)
     except ValueError as exc:
-        raise CliError(f"malformed step: {exc}", EXIT_BAD_INPUT)
+        raise click.ClickException(f"malformed step: {exc}")
     if not is_pierceable(c, step):
         return {"pierceable": False, "code": str(c)}, EXIT_VIOLATION
     result = pierce(c, step)
@@ -220,13 +220,15 @@ def detect(c, max_k, relabel):
 @report_command(takes_code=True)
 @click.option("--order", "order_kind", type=click.Choice(["lex", "wgrevlex"]), default="lex")
 @click.option("--weights", default=None, help="JSON weight vector over the codeword ring")
-@click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True,
+@click.option("--max-pairs", type=click.IntRange(min=1), default=toric.MAX_PAIRS,
+              show_default=True,
               help="cap on the S-pairs reduced, after the coprime and Gebauer-Moeller criteria")
-@click.option("--max-degree", type=click.IntRange(min=1), default=60, show_default=True)
+@click.option("--max-degree", type=click.IntRange(min=1), default=toric.MAX_DEGREE,
+              show_default=True)
 def toric_gb(c, order_kind, weights, max_pairs, max_degree):
     """Reduced Groebner basis of the toric ideal."""
     if not any(c.words):
-        raise CliError("malformed code input: no nonempty codeword", EXIT_BAD_INPUT)
+        raise click.ClickException("malformed code input: no nonempty codeword")
     try:
         if weights is not None and order_kind == "lex":
             raise ValueError("lex order takes no weights")
@@ -235,7 +237,7 @@ def toric_gb(c, order_kind, weights, max_pairs, max_degree):
             raise ValueError("expected a JSON list of numbers")
         order = toric.order_for(toric.codeword_ring(c), order_kind, w)
     except ValueError as exc:
-        raise CliError(f"malformed weights: {exc}", EXIT_BAD_INPUT)
+        raise click.ClickException(f"malformed weights: {exc}")
     ideal = toric.toric_ideal(c)
     gb = ideal.reduced_groebner_basis(order, max_pairs=max_pairs, max_degree=max_degree)
     report = {
@@ -248,17 +250,17 @@ def toric_gb(c, order_kind, weights, max_pairs, max_degree):
 
 
 @report_command()
-@click.option("--sub", required=True, help="inline JSON codeword list of the subcode")
-@click.option("--sup", required=True, help="inline JSON codeword list of the supercode")
+@click.option("--sub", required=True, callback=_inline_code,
+              help="inline JSON codeword list of the subcode")
+@click.option("--sup", required=True, callback=_inline_code,
+              help="inline JSON codeword list of the supercode")
 def nesting(sub, sup):
     """Check toric-ideal containment for nested codes."""
-    a = _load_code(None, sub)
-    b = _load_code(None, sup)
     try:
-        ok = toric.check_nesting(a, b)
+        ok = toric.check_nesting(sub, sup)
     except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
-    return {"sub": str(a), "sup": str(b), "nested_ideals": ok}, EXIT_OK if ok else EXIT_VIOLATION
+        raise click.ClickException(str(exc))
+    return {"sub": str(sub), "sup": str(sup), "nested_ideals": ok}, EXIT_OK if ok else EXIT_VIOLATION
 
 
 @report_command(takes_code=True)
@@ -274,7 +276,7 @@ def nesting(sub, sup):
 def realize(c, mode, max_k, samples, seed, svg_path):
     """Build and verify a geometric realization of a pierced code."""
     if svg_path and mode != "hyperplane":
-        raise CliError("--svg is only available in hyperplane mode", EXIT_BAD_INPUT)
+        raise click.ClickException("--svg is only available in hyperplane mode")
     seq = recover_piercing_sequence(c, max_k, relabel=True)
     if seq is None:
         return {"code": str(c), "status": "not_pierced"}, EXIT_VIOLATION
@@ -294,7 +296,7 @@ def realize(c, mode, max_k, samples, seed, svg_path):
         }
         if svg_path:
             if r.dim != 2:
-                raise CliError("--svg needs a 2-D arrangement", EXIT_BAD_INPUT)
+                raise click.ClickException("--svg needs a 2-D arrangement")
             _write(svg_path, hyperplane.arrangement_svg(r))
     else:
         r = balls.build_ball_realization(seq)
@@ -317,9 +319,11 @@ def realize(c, mode, max_k, samples, seed, svg_path):
 @click.option("--max-n", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--max-k", type=click.IntRange(min=0), default=2, show_default=True)
 @click.option("--order", "order_kind", type=click.Choice(["lex", "wgrevlex"]), default="lex")
-@click.option("--max-pairs", type=click.IntRange(min=1), default=200_000, show_default=True,
+@click.option("--max-pairs", type=click.IntRange(min=1), default=toric.MAX_PAIRS,
+              show_default=True,
               help="cap on the S-pairs reduced, after the coprime and Gebauer-Moeller criteria")
-@click.option("--max-degree", type=click.IntRange(min=1), default=60, show_default=True)
+@click.option("--max-degree", type=click.IntRange(min=1), default=toric.MAX_DEGREE,
+              show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--timing", is_flag=True, help="include wall-clock fields in the report")
 def scan_conjecture(max_n, max_k, order_kind, max_pairs, max_degree, jobs, timing):

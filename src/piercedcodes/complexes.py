@@ -177,26 +177,23 @@ def shelling_order(code: NeuralCode, seq=None) -> list:
 
 
 def verify_shelling(k: SimplicialComplex, order: list):
-    """Check a facet ordering against the pairwise-intersection criterion.
+    """Check a facet order by restriction sets (Ziegler 1995, ch. 8).
 
-    Returns (ok, witness): for each j and each i < j, the intersection
-    F_i ∩ F_j must sit inside some codimension-1 intersection F_l ∩ F_j
-    with l < j.  The witness names the first failing (i, j) pair.
+    An earlier F_l meets F_j in codimension 1 when F_j - F_l = {v}, and
+    F_j - v holds F_i ∩ F_j exactly when v is not in F_i.  So the order
+    shells when each earlier F_i misses some v of the restriction set
+    {v : F_j - F_l = {v}, l < j}.  Returns (ok, witness); the witness
+    names the first failing (i, j) pair and their intersection.
     """
     order = [frozenset(f) for f in order]
     if not k.is_pure():
         raise ValueError("complex is not pure")
     if set(order) != set(k.facets) or len(order) != len(k.facets):
         raise ValueError("order is not a permutation of the facets")
-    for j in range(1, len(order)):
-        fj = order[j]
-        codim1 = [
-            fj & order[l] for l in range(j) if len(fj & order[l]) == len(fj) - 1
-        ]
-        for i in range(j):
-            sigma = order[i] & fj
-            if len(sigma) == len(fj) - 1:
-                continue
-            if not any(sigma <= tau for tau in codim1):
-                return False, {"i": i, "j": j, "intersection": sorted(sigma, key=repr)}
+    for j, fj in enumerate(order):
+        missed = [fj - fi for fi in order[:j]]
+        restriction = {v for d in missed if len(d) == 1 for v in d}
+        for i, d in enumerate(missed):
+            if restriction.isdisjoint(d):
+                return False, {"i": i, "j": j, "intersection": sorted(fj - d, key=repr)}
     return True, None

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from .codes import NeuralCode, word_str
-from .exactlp import _dot, _norm1, max_slack, strictly_feasible
+from .exactlp import _dot, _norm1, _normalized, max_slack, strictly_feasible
 from .piercing import BASE_CODE, PiercingSequence, _subsets, first_word_outside, pierce
 
 F = Fraction
@@ -28,12 +28,15 @@ F = Fraction
 @dataclass
 class HyperplaneRealization:
     """Halfspace i is x_i >= heights[i-1], on where it holds; the bounding
-    simplex is spanned by ``bound_vertices`` in R^dim, dim = len(heights)."""
+    simplex is spanned by ``bound_vertices`` in R^dim, dim = len(heights).
+    The step that added halfspace m found the piercing point
+    ``piercing_points[m-2]``, added apex m, (p', 1) in coordinates 1..m,
+    and cut at height m, 1 - a."""
 
     heights: list
     bound_vertices: list
     witnesses: dict
-    trace: list
+    piercing_points: list
 
     @property
     def dim(self) -> int:
@@ -41,9 +44,19 @@ class HyperplaneRealization:
 
     @cached_property
     def bound_rows(self) -> list:
-        """Strict rows (a, b), a.x < b, describing the open bounding simplex;
-        computed once per realization."""
-        return bound_inequalities(self.bound_vertices)
+        """Strict rows (a, b), a.x < b, describing the open bounding simplex,
+        scaled to |a|_1 = 1 so that b - a.x is a normalized slack; computed
+        once per realization."""
+        return _normalized(bound_inequalities(self.bound_vertices))
+
+    @cached_property
+    def slacks(self) -> dict:
+        """Each witness's least normalized slack in the bounding simplex and on
+        its codeword's side of each halfspace; computed once per realization."""
+        return {c: min(
+            min(b - _dot(a, w) for a, b in self.bound_rows),
+            min(w[i] - h if i + 1 in c else h - w[i] for i, h in enumerate(self.heights)),
+        ) for c, w in self.witnesses.items()}
 
     def sign_rows(self, codeword: frozenset):
         return list(self.bound_rows) + [
@@ -69,13 +82,13 @@ class HyperplaneRealization:
             },
             "trace": [
                 {
-                    "p": [str(x) for x in t["p"]],
-                    "p_prime": [str(x) for x in t["p_prime"]],
-                    "p_tilde": [str(x) for x in t["p_tilde"]],
-                    "a": str(t["a"]),
-                    "height": str(t["height"]),
+                    "p": [str(x) for x in p],
+                    "p_prime": [str(x) for x in self.bound_vertices[m][: m - 1]],
+                    "p_tilde": [str(x) for x in self.bound_vertices[m][:m]],
+                    "a": str(1 - self.heights[m - 1]),
+                    "height": str(self.heights[m - 1]),
                 }
-                for t in self.trace
+                for m, p in enumerate(self.piercing_points, 2)
             ],
         }
 
@@ -140,7 +153,7 @@ def build_hyperplane_realization(seq: PiercingSequence) -> HyperplaneRealization
     facets = bound_inequalities(vertices)
     witnesses = {frozenset(): (F(1, 2),), frozenset({1}): (F(3, 2),)}
     code = BASE_CODE
-    trace = []
+    points = []
     for step in seq:
         code = pierce(code, step)
         dim = len(heights)
@@ -166,14 +179,11 @@ def build_hyperplane_realization(seq: PiercingSequence) -> HyperplaneRealization
             room = [(b - _dot(a[:-1], w)) / a[-1] for a, b in lifted[:-1] if a[-1] > 0]
             witnesses[c] = w + (_largest_power_scale(min(room + [height]) / 2),)
         witnesses.update(_tip_witnesses(p, step, lifted, height, grid))
-        p_tilde = p_prime + (F(1),)
-        vertices = [v + (F(0),) for v in vertices] + [p_tilde]
+        vertices = [v + (F(0),) for v in vertices] + [p_prime + (F(1),)]
         facets = lifted
         heights.append(height)
-        trace.append(
-            {"p": p, "p_prime": p_prime, "p_tilde": p_tilde, "a": a_scale, "height": height}
-        )
-    return HyperplaneRealization(heights, vertices, witnesses, trace)
+        points.append(p)
+    return HyperplaneRealization(heights, vertices, witnesses, points)
 
 
 def _apex(p, facets, a_scale, rho):
@@ -284,9 +294,9 @@ def verify_hyperplane_realization(r: HyperplaneRealization, expected: NeuralCode
     """Exact check, along the construction, that the arrangement realizes
     ``expected``; no LP is solved.
 
-    The witnesses, checked exactly against every strict row, show each
-    of their codewords is realized, and they must be exactly the
-    expected ones.  Given the construction's shape, the sign patterns of
+    The witnesses, each with a positive slack in ``r.slacks``, show each of
+    their codewords is realized, and they must be exactly the expected
+    ones.  Given the construction's shape, the sign patterns of
     the open bounding simplex lie in the bound of ``_tips``, which must
     lie in the code.  Returns (ok, discrepancy); a discrepancy names the
     offending sign vector or witness.  Under "code mismatch", ``extra``
@@ -298,10 +308,9 @@ def verify_hyperplane_realization(r: HyperplaneRealization, expected: NeuralCode
     fault = _structure_fault(r)
     if fault is not None:
         return False, {"reason": "not a construction arrangement", "detail": fault}
-    for c, w in r.witnesses.items():
-        for row, b in r.sign_rows(c):
-            if not sum(a * x for a, x in zip(row, w)) < b:
-                return False, {"reason": "witness fails", "codeword": sorted(c)}
+    for c, slack in r.slacks.items():
+        if slack <= 0:
+            return False, {"reason": "witness fails", "codeword": sorted(c)}
     witnessed = frozenset(r.witnesses)
     extra, missing = witnessed - expected.words, expected.words - witnessed
     if not extra and not missing:
@@ -358,8 +367,7 @@ def arrangement_svg(r: HyperplaneRealization) -> str:
 
 
 def nondegeneracy_margin(r: HyperplaneRealization) -> Fraction:
-    """Minimum normalized slack of the constructed witnesses over all
-    atoms and constraints.
+    """Minimum of ``r.slacks``, the slacks of the constructed witnesses.
 
     A positive value certifies every atom holds a point at positive
     normalized distance from every hyperplane and from the boundary of
@@ -367,12 +375,4 @@ def nondegeneracy_margin(r: HyperplaneRealization) -> Fraction:
     under small perturbations.  It bounds each atom's best such distance
     from below (on seeded n = 5 codes, as low as 1e-11 against 2e-8).
     """
-    if not r.witnesses:
-        raise ValueError("realization has no witnesses")
-    # halfspace rows are +-e_i, so only the bound rows need normalizing
-    bound = [(a, b, _norm1(a)) for a, b in r.bound_rows]
-    return min(
-        min(min((b - _dot(a, w)) / g for a, b, g in bound),
-            min(w[i] - h if i + 1 in c else h - w[i] for i, h in enumerate(r.heights)))
-        for c, w in r.witnesses.items()
-    )
+    return min(r.slacks.values())

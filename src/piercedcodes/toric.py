@@ -51,6 +51,8 @@ from typing import Iterable, Optional
 from .codes import NeuralCode, word_key
 from .piercing import ResourceCapExceeded, enumerate_pierced_codes
 
+MAX_PAIRS, MAX_DEGREE = 200_000, 60  # default caps: S-pairs reduced, monomial degree
+
 
 def var_str(v) -> str:
     """x3 for the neuron variable 3, y_{12} for the codeword {1, 2}."""
@@ -368,8 +370,8 @@ def normal_form(b: Optional[Binomial], basis: list, order: MonomialOrder) -> Opt
 def buchberger(
     generators: Iterable[Optional[Binomial]],
     order: MonomialOrder,
-    max_pairs: int = 200_000,
-    max_degree: int = 60,
+    max_pairs: int = MAX_PAIRS,
+    max_degree: int = MAX_DEGREE,
 ) -> list:
     """Reduced Groebner basis of a pure-difference binomial ideal.
 
@@ -538,7 +540,7 @@ class ToricIdeal:
     ering: PolyRing
 
     def reduced_groebner_basis(
-        self, order: MonomialOrder, max_pairs: int = 200_000, max_degree: int = 60
+        self, order: MonomialOrder, max_pairs: int = MAX_PAIRS, max_degree: int = MAX_DEGREE
     ) -> list:
         if order.ring != self.ring:
             raise ValueError("the order is on another ring than the ideal's")
@@ -616,8 +618,8 @@ def conjecture_scan(
     max_n: int,
     max_k: int,
     order_kind: str = "lex",
-    max_pairs: int = 200_000,
-    max_degree: int = 60,
+    max_pairs: int = MAX_PAIRS,
+    max_degree: int = MAX_DEGREE,
     jobs: int = 1,
     timing: bool = False,
 ) -> dict:

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from piercedcodes import balls
 from piercedcodes.balls import (
     SAMPLE_BLOCK,
     BallConstructionError,
@@ -18,6 +19,7 @@ from piercedcodes.balls import (
 from piercedcodes.codes import code
 from piercedcodes.piercing import (
     PiercingSequence,
+    PiercingStep,
     enumerate_pierced_codes,
     recover_piercing_sequence,
 )
@@ -91,6 +93,21 @@ def test_reference_two_step_builds():
         assert real.dim == 2
         rep = verify_ball_realization(real, c, samples=2**14)
         assert rep["ok"], (str(c), rep)
+
+
+def test_moved_sigma_witness_is_checked(monkeypatch):
+    # a lambda = ∅ step moves its sigma-witness off the new centre by
+    # 1.5 r_new; a radius too large for the step puts it in tau-ball 2
+    seq = PiercingSequence([
+        PiercingStep(frozenset(), frozenset(), frozenset({1})),
+        PiercingStep(frozenset(), frozenset({1}), frozenset({2})),
+    ])
+    real = build_ball_realization(PiercingSequence(seq.steps[:1]))
+    moved = real.witnesses[frozenset({1})] + 1.5 * 1.3 * np.eye(real.dim)[0]
+    assert real.pattern_at(moved) == frozenset({2})
+    monkeypatch.setattr(balls, "_choose_radius", lambda real, step, p: 1.3)
+    with pytest.raises(BallConstructionError, match=r"witness for \[1\] lost after adding ball 3"):
+        build_ball_realization(seq)
 
 
 def test_radii_never_grow():

@@ -229,6 +229,20 @@ def test_malformed_input_one_line_error(runner, tmp_path, args):
     assert len(lines) == 1 and lines[0].startswith("Error:"), res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["nesting", "--sub", "[[1,", "--sup", "[[],[1]]"],
+    ["nesting", "--sub", "[[],[1]]", "--sup", "[[0]]"],
+    ["detect", "--code", "[[1,"],
+    # an inline code loads as it is parsed, ahead of a later usage error
+    ["detect", "--code", "[[1,", "--max-k", "-1"],
+], ids=["nesting-sub", "nesting-sup", "detect", "detect-usage"])
+def test_malformed_inline_code_reported_first(runner, tmp_path, args):
+    res = run(runner, *args, "--out", str(tmp_path / "missing" / "x.json"))
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: malformed code input: "), res.output
+    assert len(res.output.splitlines()) == 1
+
+
 def _failing_ball_builder(monkeypatch):
     """Make every ball construction raise, as a numeric fault would."""
     def fail(seq, seed=None):

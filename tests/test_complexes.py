@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -263,3 +264,53 @@ def test_shelling_sweep_small(pierced_n4_k3):
         gamma = polar_complex_of(c)
         ok, witness = verify_shelling(gamma, shelling_order(c))
         assert ok, (str(c), witness)
+
+
+def _pairwise_shelling(order):
+    """The shelling criterion read pair by pair, the oracle for
+    ``verify_shelling``: for each j and each i < j, F_i ∩ F_j must lie
+    in some codimension-1 intersection F_l ∩ F_j with l < j."""
+    order = [frozenset(f) for f in order]
+    for j in range(1, len(order)):
+        fj = order[j]
+        codim1 = [
+            fj & order[l] for l in range(j) if len(fj & order[l]) == len(fj) - 1
+        ]
+        for i in range(j):
+            sigma = order[i] & fj
+            if len(sigma) == len(fj) - 1:
+                continue
+            if not any(sigma <= tau for tau in codim1):
+                return False, {"i": i, "j": j, "intersection": sorted(sigma, key=repr)}
+    return True, None
+
+
+def test_shelling_matches_pairwise_oracle_pierced_n5():
+    # the construction order and two seeded shuffles of every polar complex
+    rng = random.Random(5)
+    verdicts = Counter()
+    for c, seq in enumerate_pierced_codes(5, 3):
+        k = polar_complex_of(c)
+        order = shelling_order(c, seq)
+        for _ in range(3):
+            got = verify_shelling(k, order)
+            assert got == _pairwise_shelling(order), str(c)
+            verdicts[got[0]] += 1
+            order = rng.sample(order, len(order))
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_shelling_matches_pairwise_oracle_random_pure():
+    rng = random.Random(7)
+    verdicts = Counter()
+    for _ in range(3000):
+        vertices = range(1, rng.randint(2, 7) + 1)
+        size = rng.randint(1, len(vertices))
+        faces = {frozenset(rng.sample(vertices, size)) for _ in range(rng.randint(1, 12))}
+        k = SimplicialComplex(frozenset(faces))
+        order = rng.sample(sorted(k.facets, key=sorted), len(k.facets))
+        got = verify_shelling(k, order)
+        assert got == _pairwise_shelling(order), (order, got)
+        verdicts[got[0]] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+

@@ -150,6 +150,26 @@ def test_verify_catches_wrong_code():
     assert not ok and disc["reason"] == "code mismatch"
 
 
+def test_verify_names_a_witness_off_its_region():
+    # one witness onto a hyperplane of its own neuron, one onto the plane
+    # x_n = 0 of the bounding simplex's base facet
+    r = build_hyperplane_realization(seq_for(FIG_CODE))
+    c = frozenset({1, 2})
+    r.witnesses[c] = tuple(r.heights[0] if i == 0 else x for i, x in enumerate(r.witnesses[c]))
+    assert verify_hyperplane_realization(r, FIG_CODE) == (
+        False, {"reason": "witness fails", "codeword": [1, 2]}
+    )
+    assert nondegeneracy_margin(r) <= 0
+    r = build_hyperplane_realization(seq_for(FIG_CODE))
+    w = r.witnesses[frozenset()]
+    # every halfspace stays off, so only the bound row has no slack
+    r.witnesses[frozenset()] = w[:-1] + (F(0),)
+    assert verify_hyperplane_realization(r, FIG_CODE) == (
+        False, {"reason": "witness fails", "codeword": []}
+    )
+    assert nondegeneracy_margin(r) <= 0
+
+
 def test_one_lp_per_piercing_step(monkeypatch):
     # the witnesses come from the construction: the only LP the builder
     # solves places each step's piercing point
