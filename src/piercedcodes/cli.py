@@ -28,19 +28,10 @@ from .piercing import (
 EXIT_OK, EXIT_BAD_INPUT, EXIT_VIOLATION, EXIT_RESOURCE = 0, 1, 2, 3
 
 
-def _load_code(input_path, inline):
+def _validated(load, source):
+    """``load(source)``, a code with a codeword and labels from 1, or a one-line error."""
     try:
-        if inline is not None:
-            words = json.loads(inline)
-            if not (isinstance(words, list) and all(isinstance(w, list) for w in words)):
-                raise ValueError("expected a JSON list of codewords")
-            n = max((max(w, default=0) for w in words), default=0)
-            c = NeuralCode(n, frozenset(frozenset(w) for w in words))
-        elif input_path is not None:
-            with open(input_path) as fh:
-                c = NeuralCode.from_json_dict(json.load(fh))
-        else:
-            raise click.ClickException("provide --input or --code")
+        c = load(source)
         if not c.words:
             raise ValueError("the code has no codewords")
         if any(0 in w for w in c.words):
@@ -50,9 +41,22 @@ def _load_code(input_path, inline):
     return c
 
 
+def _parse_code(text):
+    words = json.loads(text)
+    if not (isinstance(words, list) and all(isinstance(w, list) for w in words)):
+        raise ValueError("expected a JSON list of codewords")
+    n = max((max(w, default=0) for w in words), default=0)
+    return NeuralCode(n, frozenset(frozenset(w) for w in words))
+
+
+def _read_code(path):
+    with open(path) as fh:
+        return NeuralCode.from_json_dict(json.load(fh))
+
+
 def _inline_code(ctx, param, text):
     """Click callback: an inline code loads as the command line is parsed."""
-    return None if text is None else _load_code(None, text)
+    return None if text is None else _validated(_parse_code, text)
 
 
 def _write(path, text):
@@ -108,10 +112,10 @@ def report_command(name=None, takes_code=False):
     """Register a subcommand whose body returns (report, exit code).
 
     The command takes --out, and with ``takes_code`` also --input and
-    --code, whose code the body gets as ``c``.  An inline code loads as
-    the command line is parsed, an --input file only without --code; then
-    --out is checked, then the body runs.  A resource cap that the body
-    hits becomes a ``resource_cap`` report with exit 3.
+    --code, exactly one of which gives the code the body gets as ``c``.
+    An inline code loads as the command line is parsed, a file after that;
+    then --out is checked, then the body runs.  A resource cap that the
+    body hits becomes a ``resource_cap`` report with exit 3.
     """
 
     def register(body):
@@ -126,7 +130,9 @@ def report_command(name=None, takes_code=False):
 
         def run(out, input_path=None, inline=None, **kwargs):
             if takes_code:
-                kwargs["c"] = inline if inline is not None else _load_code(input_path, None)
+                if (inline is None) == (input_path is None):
+                    raise click.UsageError("give exactly one of --input and --code")
+                kwargs["c"] = inline if inline is not None else _validated(_read_code, input_path)
             if out:
                 # an unwritable path fails before the body runs; appending keeps an
                 # existing file's bytes, and _write, not a truncate, replaces them later,

@@ -5,7 +5,8 @@ variable y_c to the product of the neuron variables x_i, i in c.  All
 ideals here are generated by pure-difference binomials, so Buchberger's
 algorithm works entirely on exponent vectors: S-polynomials and
 reductions of binomials are again binomials, with coefficients +-1.
-Each kernel basis is the x-free part of one elimination (Sturmfels 1996, Alg. 4.5).
+Each kernel basis is the x-free part of one elimination (Sturmfels 1996,
+Alg. 4.5), with y_{i} in place of x_i for each singleton codeword {i}.
 
 Binomials of exponent tuples go in and come out, but the engine packs
 each monomial into one int, a field of W bits per variable with a guard
@@ -24,7 +25,9 @@ New pairs pass the Gebauer-Moeller criteria (Gebauer-Moeller 1988;
 Becker-Weispfenning 1993, UPDATE): criterion B drops queued pairs that a
 new element makes redundant, M and F keep one new pair per minimal lcm,
 and pairs with coprime leads are never queued.  ``max_pairs`` counts
-the pairs that survive them and are reduced.
+the pairs that survive them and are reduced, in the order of their lcm's
+degree in the toric grading deg x_i = 1, deg y_c = |c|, which makes the
+graph binomials homogeneous (Giovini et al. 1991, sugar).
 
 The codeword variable y_c is the codeword c itself, a frozenset, and
 the neuron variable x_i is the int i.  A PolyRing fixes a tuple of
@@ -92,7 +95,8 @@ def codeword_ring(code: NeuralCode) -> PolyRing:
 
 
 def elimination_ring(code: NeuralCode) -> PolyRing:
-    xs = tuple(sorted({i for c in code.words for i in c}))
+    """x_i for each neuron i without the codeword {i} (y_{i} stands for the rest), then the y_c."""
+    xs = tuple(sorted({i for c in code.words for i in c if frozenset([i]) not in code.words}))
     return PolyRing(xs + codeword_ring(code).variables)
 
 
@@ -267,14 +271,17 @@ class _Packing:
         self.guard = low << (width - 1)
         self.width = width
         self.reverse = order.reverse
-        # each weight row as (weight, mask of the fields with that weight)
-        self.rows = []
-        for row in order.weights:
-            masks: dict = {}
-            for w, s in zip(row, self.shifts):
-                if w:
-                    masks[w] = masks.get(w, 0) | (self.limit - 1) << s
-            self.rows.append(tuple(masks.items()))
+        # each weight row, and the toric grading, as (weight, mask of the
+        # fields with that weight) pairs; a zero row compares nothing
+        self.rows = [r for r in map(self._masks, order.weights) if r]
+        self.grading = self._masks([1 if isinstance(v, int) else len(v) for v in order.ring.variables])
+
+    def _masks(self, row) -> tuple:
+        masks: dict = {}
+        for w, s in zip(row, self.shifts):
+            if w:
+                masks[w] = masks.get(w, 0) | (self.limit - 1) << s
+        return tuple(masks.items())
 
     def pack(self, m: tuple) -> int:
         return sum(e << s for e, s in zip(m, self.shifts))
@@ -294,6 +301,9 @@ class _Packing:
             return lex
         mod = self.modulus
         return (*[sum([w * ((x & mask) % mod) for w, mask in row]) for row in self.rows], lex)
+
+    def toric_degree(self, x: int) -> int:
+        return sum([w * ((x & mask) % self.modulus) for w, mask in self.grading])
 
     def divides(self, a: int, b: int) -> bool:
         g = self.guard
@@ -375,9 +385,9 @@ def buchberger(
 ) -> list:
     """Reduced Groebner basis of a pure-difference binomial ideal.
 
-    Deterministic: pairs are processed in normal selection order (by
-    lcm), the result is tail-reduced and sorted by the order on leading
-    monomials.  Pairs go through the Gebauer-Moeller update (Becker-
+    Deterministic: pairs are processed by their lcm's toric degree, then
+    the order, and the result is tail-reduced and sorted by the order on
+    leading monomials.  Pairs go through the Gebauer-Moeller update (Becker-
     Weispfenning 1993, UPDATE) as each element joins, and ``max_pairs``
     caps the S-binomials reduced, that is the pairs that survive it.
     A widened run repeats every step, so the result and any cap message
@@ -395,7 +405,7 @@ def _buchberger(generators: list, max_pairs: int, max_degree: int, pk: _Packing)
     active: list = []       # indices of the elements no later lead divides
     reducers: list = []     # basis[i] for i in active, in that order
     live: dict = {}         # queued pair (i, j) -> lcm of the leads
-    heap: list = []         # (degree, order key of lcm, i, j); lazily deleted
+    heap: list = []         # (toric degree, order key, degree of lcm, i, j); lazily deleted
     processed = zero = peak = cut_coprime = cut_b = cut_mf = 0
 
     def exceeded(cap: str) -> ResourceCapExceeded:
@@ -451,7 +461,7 @@ def _buchberger(generators: list, max_pairs: int, max_degree: int, pk: _Packing)
             else:
                 cut_mf += pairs - 1
                 live[i, k] = m
-                heapq.heappush(heap, (d, key(m), i, k))
+                heapq.heappush(heap, (pk.toric_degree(m), key(m), d, i, k))
         # elements whose lead lead(h) divides get no further pairs and stop
         # reducing: lead(h) reduces all they would
         active = [i for i in active if not divides(hl, basis[i][0])]
@@ -464,7 +474,7 @@ def _buchberger(generators: list, max_pairs: int, max_degree: int, pk: _Packing)
         if h is not None:
             add(h)
     while heap:
-        d, _, i, j = heapq.heappop(heap)
+        _, _, d, i, j = heapq.heappop(heap)
         m = live.pop((i, j), None)
         if m is None:
             continue
@@ -534,6 +544,8 @@ class ToricIdeal:
 
     Its basis under an order is the x-free part of one elimination in
     ``ering``; each call runs that elimination, and nothing is cached.
+    x_i - y_{i} lies in the graph ideal, so writing y_{i} for each x_i
+    that ``ering`` leaves out keeps the x-free part, and so the basis.
     """
 
     ring: PolyRing
@@ -545,9 +557,11 @@ class ToricIdeal:
         if order.ring != self.ring:
             raise ValueError("the order is on another ring than the ideal's")
         eorder = EliminationOrder(self.ering, order)
-        graph = [oriented(self.ering.monomial(dict.fromkeys(c, 1)),
-                          self.ering.monomial({c: 1}), eorder) for c in self.ring.variables]
         nx = len(self.ering.variables) - len(self.ring.variables)
+        # y_{i} for each x_i the ring leaves out; a singleton's binomial is then zero
+        graph = [oriented(self.ering.monomial({i if i in self.ering.variables else frozenset([i]): 1
+                                               for i in c}),
+                          self.ering.monomial({c: 1}), eorder) for c in self.ring.variables]
         # an x-free lead has an x-free trail, and there the order is ``order``
         return [
             Binomial(g.lead[nx:], g.trail[nx:])

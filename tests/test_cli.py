@@ -179,6 +179,17 @@ def test_analyze_from_file(runner, tmp_path):
     assert json.loads(res.output)["neurons"] == 2
 
 
+def test_code_and_input_together_exit_1(runner, tmp_path):
+    # a valid file next to --code is a usage error, not silently ignored
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"neurons": 2, "codewords": [[], [1], [2], [1, 2]]}))
+    for args in (["--code", "[[],[1]]", "--input", str(path)],
+                 ["--input", str(path), "--code", "[[],[1]]"]):
+        res = run(runner, "detect", *args)
+        assert res.exit_code == 1
+        assert res.output.splitlines()[-1] == "Error: give exactly one of --input and --code"
+
+
 def test_malformed_input_exit_1(runner):
     res = run(runner, "analyze", "--code", "not json")
     assert res.exit_code == 1
@@ -380,7 +391,13 @@ def test_toric_gb_resource_cap_exit_3(runner):
     res = run(runner, "toric-gb", "--code", "[[],[1],[2],[3],[1,2,3]]",
               "--max-degree", "2")
     assert res.exit_code == 3
-    assert json.loads(res.output)["status"] == "resource_cap"
+    # with y_{i} for x_i the cubic y_{1}*y_{2}*y_{3} - y_{123} is a graph
+    # binomial, so the cap fires before any element joins
+    assert json.loads(res.output) == {
+        "status": "resource_cap",
+        "detail": "degree cap 2 exceeded after 0 S-pairs processed (cut: 0 coprime, "
+                  "0 by criterion B, 0 by criteria M/F), 0 zero reductions, peak basis size 0",
+    }
 
 
 def test_nesting(runner):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from operator import mul
 
 import pytest
 import sympy
@@ -155,8 +156,10 @@ def test_monomial_order_axioms(make_order):
 
 @pytest.mark.parametrize("width", [8, 16])
 def test_packed_word_operations_match_tuples(width):
-    ring = codeword_ring(FULL_3)
-    packing = toric._Packing(CodewordLexOrder(ring), width)
+    # x-variables (ints) and codeword variables
+    ring = _every_neuron_ring(codeword_ring(FULL_3))
+    packing = toric._Packing(EliminationOrder(ring, CodewordLexOrder(codeword_ring(FULL_3))), width)
+    grading = [1 if isinstance(v, int) else len(v) for v in ring.variables]
     rng = random.Random(13)
     n = len(ring.variables)
 
@@ -180,6 +183,8 @@ def test_packed_word_operations_match_tuples(width):
         assert packing.unpack(lcm) == tuple(map(max, a, b))
         # the lcm's degree, up to 2^width - 2, reads exactly as a residue
         assert lcm % packing.modulus == sum(map(max, a, b))
+        # and so does its toric degree, deg x_i = 1 and deg y_c = |c|
+        assert packing.toric_degree(lcm) == sum(map(mul, grading, map(max, a, b)))
         assert (lcm == pa + pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
@@ -198,14 +203,20 @@ def test_float_weights_give_a_monomial_order():
     assert w == (1, 0, 2, 1) and {type(x) for x in w} == {int}
 
 
+def _every_neuron_ring(ring):
+    """The elimination ring with an x for every neuron, singletons included."""
+    return PolyRing(tuple(sorted({i for c in ring.variables for i in c})) + ring.variables)
+
+
 def test_elimination_order_property():
-    ering = elimination_ring(C4)
+    ering = _every_neuron_ring(codeword_ring(C4))
     order = EliminationOrder(ering, CodewordLexOrder(codeword_ring(C4)))
     with_x = ering.monomial({1: 1})
     pure_y = ering.monomial({word([1]): 3, word([1, 2]): 2})
     assert order.greater(with_x, pure_y)
     # on x-free monomials the elimination order is its inner order
-    yring, ering = codeword_ring(FULL_3), elimination_ring(FULL_3)
+    yring = codeword_ring(FULL_3)
+    ering = _every_neuron_ring(yring)
     nx = len(ering.variables) - len(yring.variables)
     x3 = ering.monomial({3: 1})
     rng = random.Random(5)
@@ -263,25 +274,50 @@ def test_one_elimination_matches_two_step_bases(pierced_n4_k3):
 
 
 def _elimination(ideal, order):
-    """The graph binomials x^c - y_c, oriented under the elimination order."""
-    eorder = EliminationOrder(ideal.ering, order)
-    graph = [oriented(ideal.ering.monomial(dict.fromkeys(c, 1)),
-                      ideal.ering.monomial({c: 1}), eorder) for c in ideal.ring.variables]
+    """The eliminate-every-neuron route: the graph binomials x^c - y_c over
+    an x for every neuron, oriented under the elimination order."""
+    ering = _every_neuron_ring(ideal.ring)
+    eorder = EliminationOrder(ering, order)
+    graph = [oriented(ering.monomial(dict.fromkeys(c, 1)), ering.monomial({c: 1}), eorder)
+             for c in ideal.ring.variables]
     return graph, eorder
 
 
-def test_buchberger_matches_plain_oracle_on_pierced_codes(pierced_n4_k3):
+def _three_orders(ring):
+    return (CodewordLexOrder(ring), WeightedGrevlexOrder(ring, two_subset_weights),
+            ListedLexOrder(ring, ring.variables[::-1]))
+
+
+def test_substitution_matches_eliminating_every_neuron(pierced_n4_k3):
+    # oracle: the x-free part of the elimination with an x for every neuron
+    codes = [c for c, _ in pierced_n4_k3] + [c for c, _ in seeded_pierced(5, 10, seed=5)]
+    codes = [c for c in codes if any(c.words)]
+    for c in codes + [homogenize_with_dummy(c) for c in codes]:
+        ideal = toric_ideal(c)
+        for order in _three_orders(ideal.ring):
+            graph, eorder = _elimination(ideal, order)
+            nx = len(eorder.ring.variables) - len(ideal.ring.variables)
+            oracle = [Binomial(g.lead[nx:], g.trail[nx:])
+                      for g in buchberger(graph, eorder) if not any(g.lead[:nx])]
+            assert ideal.reduced_groebner_basis(order) == oracle, (str(c), order)
+
+
+def test_buchberger_matches_plain_oracle_on_pierced_codes(pierced_n4_k3, monkeypatch):
+    # both the engine's own input, with y_{i} for x_i, and the
+    # eliminate-every-neuron route's
+    inputs = []
+    real = toric.buchberger
+    monkeypatch.setattr(toric, "buchberger",
+                        lambda gens, order, *a: inputs.append((gens, order)) or real(gens, order, *a))
     codes = [c for c, _ in pierced_n4_k3] + [c for c, _ in seeded_pierced(5, 12, seed=11, max_k=2)]
     for c in codes:
         if not any(c.words):
             continue
         ideal = toric_ideal(c)
-        for order in (CodewordLexOrder(ideal.ring),
-                      WeightedGrevlexOrder(ideal.ring, two_subset_weights),
-                      ListedLexOrder(ideal.ring, ideal.ring.variables[::-1])):
-            graph, eorder = _elimination(ideal, order)
-            assert buchberger(graph, eorder) == plain_buchberger(graph, eorder), str(c)
+        for order in _three_orders(ideal.ring):
             assert verify_buchberger_certificate(ideal.reduced_groebner_basis(order), order)
+            for graph, eorder in (inputs.pop(), _elimination(ideal, order)):
+                assert real(graph, eorder) == plain_buchberger(graph, eorder), str(c)
 
 
 def test_certificate_rejects_bases_with_an_element_dropped(pierced_n4_k3):
@@ -461,11 +497,15 @@ def test_pair_cap_names_the_work_done():
     msg = str(exc.value)
     assert msg.startswith("S-pair cap 1 exceeded after ")
     processed, coprime, by_b, by_mf, zero, peak = map(int, CAP_WORK.search(msg).groups())
-    # 7 graph binomials and at most one reduced S-binomial: each pair of
-    # these 8 is cut once, reduced once, or still queued
+    # 4 graph binomials, as y_{i} stands for x_i and the singletons' are
+    # zero, and at most one reduced S-binomial: each pair of these 5 is
+    # cut once, reduced once, or still queued
     assert processed == 1 and zero <= 1
-    assert coprime > 0 and 0 < peak <= 8
-    assert processed + coprime + by_b + by_mf <= 8 * 7 // 2
+    assert coprime > 0 and 0 < peak <= 5
+    assert processed + coprime + by_b + by_mf <= 5 * 4 // 2
+    # the counters pin the selection by toric degree: taken by standard
+    # degree, another pair comes first and the cut reads 4 coprime
+    assert (coprime, by_b, by_mf, zero, peak) == (3, 0, 1, 0, 5)
 
 
 def _kernel_oracle(c, max_deg=4):
@@ -614,6 +654,32 @@ def test_orders_match_sympy_groebner(pierced_n4_k3):
             gb = ideal.reduced_groebner_basis(order_for(ideal.ring, kind))
             got = {(_as_words(g.lead, words), _as_words(g.trail, words)) for g in gb}
             assert got == _sympy_basis(c, kind), (str(c), kind)
+
+
+NO_SINGLETON = code(3, [], [1, 2], [1, 2, 3])
+
+
+@pytest.mark.parametrize("c, xs", [
+    # every neuron has a singleton: no x is left
+    (FULL_3, ()),
+    # no neuron has one: every x is kept
+    (NO_SINGLETON, (1, 2, 3)),
+    (code(3, [], [1, 2], [1, 3], [2, 3], [1, 2, 3]), (1, 2, 3)),
+    (homogenize_with_dummy(code(3, [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3])),
+     (0, 1, 2, 3)),
+    # only the dummy neuron 0 has one, from the empty codeword
+    (homogenize_with_dummy(C4), (1, 2)),
+], ids=["full-3", "12-123", "pairs-123", "homogenized-no-0", "homogenized-C4"])
+def test_substitution_ends_match_sympy_groebner(c, xs):
+    ideal = toric_ideal(c)
+    assert ideal.ering.variables == xs + ideal.ring.variables
+    assert elimination_ring(c) == ideal.ering
+    words = [tuple(sorted(w)) for w in ideal.ring.variables]
+    for kind in ("lex", "wgrevlex"):
+        gb = ideal.reduced_groebner_basis(order_for(ideal.ring, kind))
+        got = {(_as_words(g.lead, words), _as_words(g.trail, words)) for g in gb}
+        assert got == _sympy_basis(c, kind), (str(c), kind)
+        assert bool(gb) == (c != NO_SINGLETON)
 
 
 def test_full_code_on_five_neurons_is_quadratic_under_lex():
